@@ -1,0 +1,58 @@
+"""Lazily built C kernel for the mean-field RK4 loop (source: _native.c).
+
+load() compiles the source with the system C compiler on first use, caches
+the library in this package's __pycache__ under a name keyed by the sha256
+of the source and flags, and returns it.  It returns None whenever the
+library cannot be built or loaded; callers then take the numpy path.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import functools
+import hashlib
+import os
+import shutil
+import subprocess
+import tempfile
+
+import numpy as np
+
+_HERE = os.path.dirname(os.path.abspath(__file__))
+_SOURCE = os.path.join(_HERE, "_native.c")
+# No -ffast-math or -march=native: the library must compute the same bytes on every machine.
+_FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
+_DOUBLES = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+
+
+@functools.cache
+def load() -> ctypes.CDLL | None:
+    """The kernel library, built on first use; None when it cannot be built or loaded."""
+    cc = shutil.which("cc")
+    if cc is None:
+        return None
+    try:
+        with open(_SOURCE, "rb") as handle:
+            source = handle.read()
+        digest = hashlib.sha256(source + " ".join(_FLAGS).encode()).hexdigest()
+        cache_dir = os.path.join(_HERE, "__pycache__")
+        target = os.path.join(cache_dir, f"_native-{digest}.so")
+        if not os.path.exists(target):
+            os.makedirs(cache_dir, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache_dir)
+            os.close(fd)
+            try:
+                cmd = [cc, *_FLAGS, "-o", tmp, _SOURCE]
+                subprocess.run(cmd, check=True, capture_output=True, timeout=120)
+                os.replace(tmp, target)
+            finally:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
+        lib = ctypes.CDLL(target)
+    except (OSError, subprocess.SubprocessError):
+        return None
+    # mf_rk4(p, dt, n_steps, stride, L, start, out, work)
+    scalars = [ctypes.c_double, ctypes.c_double, ctypes.c_long, ctypes.c_long, ctypes.c_long]
+    lib.mf_rk4.argtypes = scalars + [_DOUBLES] * 3
+    lib.mf_rk4.restype = ctypes.c_long
+    return lib

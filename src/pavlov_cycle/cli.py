@@ -117,6 +117,8 @@ def _strategy(kind: str, p: float) -> Strategy:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    if args.trace_every < 1:
+        raise UsageError(f"--trace-every must be >= 1, got {args.trace_every}")
     strategy = _strategy(args.strategy, args.p)
     init = _parse_init(args.init)
     _echo_config(
@@ -166,21 +168,45 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 _SWEEP_KEYS = {"strategy", "n_list", "p_list", "reps", "max_steps", "master_seed", "init"}
 
 
+def _config_number(key: str, value: object, convert):
+    """A JSON number from the sweep config through convert (int or float)."""
+    if type(value) not in (int, float):
+        raise UsageError(f"sweep config {key} must be a number, got {value!r}")
+    try:
+        return convert(value)
+    except OverflowError as exc:  # int() of an infinite float
+        raise UsageError(f"sweep config {key}: {exc}") from exc
+
+
+def _config_numbers(key: str, value: object, convert) -> tuple:
+    if not isinstance(value, list):
+        raise UsageError(f"sweep config {key} must be a list of numbers, got {value!r}")
+    return tuple(_config_number(key, v, convert) for v in value)
+
+
+def _config_text(key: str, value: object) -> str:
+    if not isinstance(value, str):
+        raise UsageError(f"sweep config {key} must be a string, got {value!r}")
+    return value
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     with open(args.config) as handle:
         raw = json.load(handle)
+    if not isinstance(raw, dict):
+        raise UsageError(f"sweep config must be a JSON object, got {type(raw).__name__}")
     unknown = set(raw) - _SWEEP_KEYS
     if unknown:
         raise UsageError(f"unknown sweep config keys: {sorted(unknown)}")
     try:
         config = SweepConfig(
-            strategy_kind=StrategyKind(raw.get("strategy", "rp")),
-            n_list=tuple(int(n) for n in raw["n_list"]),
-            p_list=tuple(float(p) for p in raw["p_list"]),
-            reps=int(raw.get("reps", 100)),
-            max_steps=int(raw.get("max_steps", 43_000_000)),
-            master_seed=int(raw.get("master_seed", 0)),
-            init=_parse_init(raw.get("init", "all-defect")),
+            strategy_kind=StrategyKind(_config_text("strategy", raw.get("strategy", "rp"))),
+            n_list=_config_numbers("n_list", raw["n_list"], int),
+            p_list=_config_numbers("p_list", raw["p_list"], float),
+            reps=_config_number("reps", raw.get("reps", 100), int),
+            max_steps=_config_number("max_steps", raw.get("max_steps", 43_000_000), int),
+            master_seed=_config_number("master_seed", raw.get("master_seed", 0), int),
+            init=_parse_init(_config_text("init", raw.get("init", "all-defect"))),
         )
     except KeyError as exc:
         raise UsageError(f"sweep config is missing {exc}") from exc
@@ -272,6 +298,8 @@ def cmd_meanfield(args: argparse.Namespace) -> int:
         },
         args.quiet,
     )
+    if args.csv_cols < 0:
+        raise UsageError(f"--csv-cols must be >= 0, got {args.csv_cols}")
     config = OdeConfig(dt=args.dt, L=args.L)
     traj = integrate(args.p, args.tau_end, config)
     if args.out:

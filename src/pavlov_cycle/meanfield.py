@@ -28,6 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _native
+
 
 class IntegrationDivergedError(RuntimeError):
     """Non-finite values appeared; reduce dt or increase the truncation order."""
@@ -107,13 +109,41 @@ def integrate(p: float, tau_end: float, config: OdeConfig | None = None) -> Traj
     """Classical fixed-step 4th order integration from the all-defect start.
 
     Samples every config.sample_stride steps; the final state is always
-    included.  Raises IntegrationDivergedError on non-finite values.
+    included.  Raises IntegrationDivergedError on non-finite values.  Runs
+    the compiled kernel of _native.c when it can be built, else the numpy
+    loop; the two agree to rounding in the convolution sums.
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie in (0, 1), got {p}")
     if tau_end < 0.0:
         raise ValueError(f"tau_end must be >= 0, got {tau_end}")
     config = config or OdeConfig()
+    lib = _native.load()
+    if lib is None:
+        return _integrate_numpy(p, tau_end, config)
+    L, dt, stride = config.L, config.dt, config.sample_stride
+    n_steps = int(round(tau_end / dt))
+    steps = np.arange(stride, n_steps + 1, stride)
+    if n_steps % stride:
+        steps = np.append(steps, n_steps)
+    taus = np.concatenate(([0.0], steps * dt))
+    samples = np.zeros((len(taus), L + 1))
+    samples[0, 0] = 1.0
+    work = np.empty(6 * (L + 1))
+    failed = lib.mf_rk4(p, dt, n_steps, stride, L, samples[0], samples[1:], work)
+    if failed:
+        raise _diverged(failed, p, config)
+    return Trajectory(p=p, L=L, taus=taus, P=samples)
+
+
+def _diverged(step: int, p: float, config: OdeConfig) -> IntegrationDivergedError:
+    return IntegrationDivergedError(
+        f"non-finite values at tau = {step * config.dt:.6g} (p = {p}, L = {config.L}, dt = {config.dt})"
+    )
+
+
+def _integrate_numpy(p: float, tau_end: float, config: OdeConfig) -> Trajectory:
+    """Reference loop of integrate; the only path when no C compiler is found."""
     L = config.L
     dt = config.dt
     P = np.zeros(L + 1)
@@ -128,9 +158,7 @@ def integrate(p: float, tau_end: float, config: OdeConfig | None = None) -> Traj
         k4 = _rhs(P + dt * k3, p)
         P = P + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.all(np.isfinite(P)):
-            raise IntegrationDivergedError(
-                f"non-finite values at tau = {(k + 1) * dt:.6g} (p = {p}, L = {L}, dt = {dt})"
-            )
+            raise _diverged(k + 1, p, config)
         if (k + 1) % config.sample_stride == 0 or k + 1 == n_steps:
             taus.append((k + 1) * dt)
             samples.append(P.copy())

@@ -27,6 +27,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .dynamics import CycleState, StrategyKind, minus_run_lengths
 
 MARGIN_TOL = 1e-9
@@ -336,12 +338,12 @@ def check_constraints(table: WeightTable) -> ConstraintReport:
             internal.append(-lhs)
         nrun = -(p * w[n - 2] - p * w[n] + delta * w[n])
 
+    # min over 1 <= l1 <= l2, l1 + l2 <= n of w[l1] + w[l2] - w[l1 + l2], one
+    # row of l2 at a time: the same IEEE operations as a scalar double loop.
+    wa = np.asarray(w)
     merge = math.inf
-    for l1 in range(1, n):
-        for l2 in range(l1, n - l1 + 1):
-            slack = w[l1] + w[l2] - w[l1 + l2]
-            if slack < merge:
-                merge = slack
+    for l1 in range(1, n // 2 + 1):
+        merge = min(merge, float((wa[l1] + wa[l1 : n - l1 + 1] - wa[2 * l1 : n + 1]).min()))
 
     return ConstraintReport(
         singleton_margin=singleton,

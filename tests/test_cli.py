@@ -1,6 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
+import pytest
+
+import pavlov_cycle
 from pavlov_cycle.cli import main
 
 
@@ -115,6 +120,26 @@ def test_simulate_bad_init(capsys):
     assert "unknown init" in err
 
 
+@pytest.mark.parametrize("every", ["0", "-5"])
+def test_simulate_rejects_trace_every_below_1(tmp_path, every):
+    # In a child process with a timeout: the defect this guards against is an
+    # endless loop, which must fail the test rather than hang it.
+    src = os.path.dirname(os.path.dirname(pavlov_cycle.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    trace = tmp_path / "trace.csv"
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "pavlov_cycle.cli", "simulate", "--n", "20", "--p", "0.9",
+            "--trace", str(trace), "--trace-every", every, "--quiet",
+        ],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert "--trace-every must be >= 1" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not trace.exists()
+
+
 def test_config_echo_on_stderr(capsys):
     code, _, err = run_cli(capsys, "simulate", "--n", "10", "--init", "all-cooperate")
     assert code == 0
@@ -184,6 +209,36 @@ def test_sweep_missing_config_file(capsys, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "raw",
+    [
+        {"n_list": 5, "p_list": [0.5]},
+        {"n_list": [20], "p_list": 0.5},
+        {"n_list": [20], "p_list": [None]},
+        {"n_list": ["20"], "p_list": [0.5]},
+        {"n_list": [[20]], "p_list": [0.5]},
+        {"n_list": [True], "p_list": [0.5]},
+        {"n_list": [float("inf")], "p_list": [0.5]},
+        {"n_list": [20], "p_list": [0.5], "reps": None},
+        {"n_list": [20], "p_list": [0.5], "init": 5},
+        {"n_list": [20], "p_list": [0.5], "strategy": ["rp"]},
+        [20, 0.5],
+        [[1, 2]],
+        "rp",
+        5,
+        None,
+    ],
+)
+def test_sweep_malformed_config_is_a_usage_error(capsys, tmp_path, raw):
+    path = str(tmp_path / "config.json")
+    with open(path, "w") as fh:
+        json.dump(raw, fh)
+    code, _, err = run_cli(capsys, "sweep", "--config", path, "--out-dir", str(tmp_path / "x"), "--quiet")
+    assert code == 1
+    assert err.startswith("error: sweep config")
+    assert not os.path.exists(tmp_path / "x")
+
+
 # ---------------------------------------------------------------------------
 # meanfield and defect-time
 
@@ -198,6 +253,25 @@ def test_meanfield_writes_trajectory(capsys, tmp_path):
     lines = open(out).read().splitlines()
     assert lines[0] == "tau,P_0,P_1,P_2,P_3,P_4,sum_tail"
     assert "max_tail_sum=" in text
+
+
+def test_meanfield_rejects_negative_csv_cols(capsys, tmp_path):
+    out = tmp_path / "traj.csv"
+    code, _, err = run_cli(
+        capsys, "meanfield", "--p", "0.02", "--tau-end", "0.1", "--out", str(out), "--csv-cols", "-1", "--quiet"
+    )
+    assert code == 1
+    assert "--csv-cols must be >= 0" in err
+    assert not out.exists()
+
+
+def test_meanfield_csv_cols_zero_keeps_p0(capsys, tmp_path):
+    out = str(tmp_path / "traj.csv")
+    code, _, _ = run_cli(
+        capsys, "meanfield", "--p", "0.02", "--tau-end", "0.1", "--out", out, "--csv-cols", "0", "--quiet"
+    )
+    assert code == 0
+    assert open(out).read().splitlines()[0] == "tau,P_0,sum_tail"
 
 
 def test_meanfield_rejects_big_dt(capsys):

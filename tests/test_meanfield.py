@@ -1,8 +1,10 @@
 import math
+import shutil
 
 import numpy as np
 import pytest
 
+from pavlov_cycle import _native
 from pavlov_cycle.dynamics import AllDefect, Strategy, advance, new_state
 from pavlov_cycle.experiments import derive_seed
 from pavlov_cycle.meanfield import (
@@ -12,6 +14,7 @@ from pavlov_cycle.meanfield import (
     closed_form_short_runs,
     closed_form_total,
     eigenvalue_check,
+    _integrate_numpy,
     integrate,
     long_run_bound,
     rhs,
@@ -126,6 +129,70 @@ def test_step_robustness_halving_dt():
     a = integrate(0.05, 10.0, OdeConfig(dt=1e-3, L=32))
     b = integrate(0.05, 10.0, OdeConfig(dt=5e-4, L=32))
     assert np.abs(a.state_at(10.0).P - b.state_at(10.0).P).max() < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# compiled kernel against the numpy reference loop
+
+# (p, tau_end, L, dt, sample_stride): tau_end = 0, end times off the sample
+# grid, and the smallest and a large truncation order.
+KERNEL_GRID = [
+    (0.3, 0.0, 8, 1e-3, 10),
+    (0.01, 10.0, 64, 1e-3, 10),
+    (0.05, 1.2345, 3, 1e-3, 7),
+    (0.02, 2.0, 128, 5e-3, 3),
+    (0.9, 0.999, 16, 1e-2, 1),
+    (0.005, 0.25, 5, 1e-3, 1000),
+]
+
+
+@pytest.mark.parametrize("p, tau_end, L, dt, stride", KERNEL_GRID)
+def test_kernel_matches_numpy_loop(p, tau_end, L, dt, stride):
+    if _native.load() is None:
+        pytest.skip("no C compiler found, or the kernel could not be built or loaded")
+    config = OdeConfig(dt=dt, L=L, sample_stride=stride)
+    got = integrate(p, tau_end, config)
+    ref = _integrate_numpy(p, tau_end, config)
+    assert got.taus.tolist() == ref.taus.tolist()
+    assert got.P.shape == ref.P.shape
+    # P_0..P_2 never read a convolution sum of more than one term, so they
+    # match bit for bit; the longer sums may be added in another order.
+    assert np.array_equal(got.P[:, :3], ref.P[:, :3])
+    big = np.abs(ref.P) > 1e-280
+    np.testing.assert_allclose(got.P[big], ref.P[big], rtol=1e-12, atol=0.0)
+    assert np.all(np.abs(got.P[~big]) <= 1e-270)
+
+
+def test_kernel_reports_first_non_finite_step():
+    lib = _native.load()
+    if lib is None:
+        pytest.skip("no C compiler found, or the kernel could not be built or loaded")
+    L = 4
+    start = np.zeros(L + 1)
+    start[0] = 1.0
+    work = np.empty(6 * (L + 1))
+    out = np.zeros((3, L + 1))
+    assert lib.mf_rk4(0.5, 1e-3, 3, 1, L, start, out, work) == 0
+    start[3] = 1e300  # overflows within the first step
+    assert lib.mf_rk4(0.5, 1e-3, 3, 1, L, start, out, work) == 1
+
+
+def test_integrate_without_kernel_is_the_numpy_loop(monkeypatch):
+    monkeypatch.setattr(_native, "load", lambda: None)
+    config = OdeConfig(dt=1e-3, L=16, sample_stride=7)
+    got = integrate(0.05, 0.5, config)
+    ref = _integrate_numpy(0.05, 0.5, config)
+    assert got.taus.tolist() == ref.taus.tolist()
+    assert np.array_equal(got.P, ref.P)
+
+
+def test_load_without_compiler_returns_none(monkeypatch):
+    monkeypatch.setattr(shutil, "which", lambda name, *args, **kwargs: None)
+    _native.load.cache_clear()
+    try:
+        assert _native.load() is None
+    finally:
+        _native.load.cache_clear()
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -223,6 +225,30 @@ def test_srp_constraints_feasible_above_its_threshold():
     for p in (0.70, 0.75, 0.9, 1.0):
         rep = check_constraints(build_weight_table("srp", p, 1e-4, 60))
         assert rep.feasible, (p, rep.worst())
+
+
+def _merge_margin_double_loop(table):
+    """Reference: the scalar double loop over every merge l1 + l2 <= n."""
+    w = table.weight_array()
+    n = table.n
+    merge = math.inf
+    for l1 in range(1, n):
+        for l2 in range(l1, n - l1 + 1):
+            slack = w[l1] + w[l2] - w[l1 + l2]
+            if slack < merge:
+                merge = slack
+    return merge
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 100, 1001])
+def test_merge_margin_equals_double_loop(n):
+    for kind, ps in (("rp", (0.87, 0.9, 0.95, 1.0)), ("srp", (0.7, 0.8, 0.9, 1.0))):
+        for p in ps:
+            for omega in (0.0, 1e-4):
+                table = build_weight_table(kind, p, omega, n)
+                got = check_constraints(table).merge_margin
+                assert got == _merge_margin_double_loop(table), (kind, p, omega)
+                assert type(got) is float
 
 
 def test_huge_omega_cannot_build():
