@@ -24,7 +24,6 @@ from .dynamics import (
     advance,
     edge_transition,
     extract_runs,
-    minus_run_lengths,
     new_state,
     run_until_absorbed,
     runs_of,

@@ -227,6 +227,32 @@ def edge_transition(
     return (1 if u1 < p else -1, 1 if u2 < p else -1)
 
 
+def transition_branches(
+    pair: tuple[int, int], strategy: Strategy
+) -> list[tuple[tuple[int, int], float]]:
+    """Every (new_pair, probability) the edge can move to in one round.
+
+    The distribution edge_transition samples when its uniforms are drawn
+    as the randomness contract says.  A (-,-) pair lists all of its
+    branches, zero-probability ones included, so the list's shape depends
+    only on the strategy kind.
+    """
+    left, right = pair
+    if left == 1 and right == 1:
+        return [((1, 1), 1.0)]
+    if left == 1 or right == 1:
+        return [((-1, -1), 1.0)]
+    p = strategy.p
+    if strategy.kind is StrategyKind.SRP:
+        return [((1, 1), p), ((-1, -1), 1.0 - p)]
+    return [
+        ((1, 1), p * p),
+        ((1, -1), p * (1.0 - p)),
+        ((-1, 1), (1.0 - p) * p),
+        ((-1, -1), (1.0 - p) * (1.0 - p)),
+    ]
+
+
 @dataclass(frozen=True)
 class StepOutcome:
     edge: int
@@ -391,49 +417,19 @@ class RunList:
 
 def runs_of(states: Sequence[int]) -> RunList:
     n = len(states)
-    first = states[0]
-    boundaries = [i for i in range(n) if states[i] != states[i - 1]]
-    if not boundaries:
-        if first == 1:
+    starts = [i for i in range(n) if states[i] != states[i - 1]]
+    if not starts:
+        if states[0] == 1:
             return RunList(((0, n),), (), True, False)
         return RunList((), ((0, n),), False, True)
-    plus: list[tuple[int, int]] = []
-    minus: list[tuple[int, int]] = []
-    k = len(boundaries)
-    for idx in range(k):
-        start = boundaries[idx]
-        end = boundaries[(idx + 1) % k]
-        length = (end - start) % n or n
-        if states[start] == 1:
-            plus.append((start, length))
-        else:
-            minus.append((start, length))
-    return RunList(tuple(plus), tuple(minus), False, False)
+    # Signs alternate from one run to the next; the last run wraps past n - 1.
+    ends = starts[1:] + [starts[0] + n]
+    runs = [(start, end - start) for start, end in zip(starts, ends)]
+    if states[starts[0]] == 1:
+        return RunList(tuple(runs[0::2]), tuple(runs[1::2]), False, False)
+    return RunList(tuple(runs[1::2]), tuple(runs[0::2]), False, False)
 
 
 def extract_runs(state: CycleState) -> RunList:
     return runs_of(state.states)
 
-
-def minus_run_lengths(states: Sequence[int], minus_count: int | None = None) -> list[int]:
-    """Lengths of the maximal defector runs (the whole cycle counts as one)."""
-    n = len(states)
-    if minus_count is None:
-        minus_count = sum(1 for s in states if s == -1)
-    if minus_count == 0:
-        return []
-    if minus_count == n:
-        return [n]
-    lengths = []
-    # Start scanning just past a cooperator so no run is split by wraparound.
-    start = states.index(1) + 1
-    run = 0
-    for k in range(n):
-        if states[start + k - n] == -1:
-            run += 1
-        elif run:
-            lengths.append(run)
-            run = 0
-    if run:
-        lengths.append(run)
-    return lengths

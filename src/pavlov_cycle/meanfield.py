@@ -105,24 +105,38 @@ class Trajectory:
         return self.P[:, start:].sum(axis=1)
 
 
+# Largest sample table integrate will fill, in float64 values (1 GiB).
+_MAX_SAMPLE_DOUBLES = 2**27
+
+
 def integrate(p: float, tau_end: float, config: OdeConfig | None = None) -> Trajectory:
     """Classical fixed-step 4th order integration from the all-defect start.
 
     Samples every config.sample_stride steps; the final state is always
-    included.  Raises IntegrationDivergedError on non-finite values.  Runs
-    the compiled kernel of _native.c when it can be built, else the numpy
-    loop; the two agree to rounding in the convolution sums.
+    included.  Raises ValueError, before any step, when tau_end is not
+    finite or its samples would hold more than 2^27 values, and
+    IntegrationDivergedError on non-finite values.  Runs the compiled
+    kernel of _native.c when it can be built, else the numpy loop; the two
+    agree to rounding in the convolution sums.
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie in (0, 1), got {p}")
-    if tau_end < 0.0:
-        raise ValueError(f"tau_end must be >= 0, got {tau_end}")
+    if not math.isfinite(tau_end) or tau_end < 0.0:
+        raise ValueError(f"tau_end must be finite and >= 0, got {tau_end}")
     config = config or OdeConfig()
+    L, dt, stride = config.L, config.dt, config.sample_stride
+    # Both paths keep up to n_steps // stride + 2 samples of L + 1 values.
+    quotient = tau_end / dt  # inf when the division overflows
+    rows = math.inf if math.isinf(quotient) else int(round(quotient)) // stride + 2
+    if rows * (L + 1) > _MAX_SAMPLE_DOUBLES:
+        raise ValueError(
+            f"tau_end = {tau_end:g} at dt = {dt:g} needs a sample table of {rows:g} x {L + 1} "
+            f"doubles, more than the limit of {_MAX_SAMPLE_DOUBLES}"
+        )
     lib = _native.load()
     if lib is None:
         return _integrate_numpy(p, tau_end, config)
-    L, dt, stride = config.L, config.dt, config.sample_stride
-    n_steps = int(round(tau_end / dt))
+    n_steps = int(round(quotient))
     steps = np.arange(stride, n_steps + 1, stride)
     if n_steps % stride:
         steps = np.append(steps, n_steps)

@@ -25,11 +25,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
 
-from .dynamics import CycleState, StrategyKind, minus_run_lengths
+from .dynamics import CycleState, Strategy, StrategyKind, runs_of, transition_branches
 
 MARGIN_TOL = 1e-9
 
@@ -219,11 +220,11 @@ class WeightTable:
 
     def weight_array(self) -> list[float]:
         """w(0..n) as a list for O(1) lookups."""
-        return [self.weight(ell) for ell in range(self.n + 1)]
+        head = list(self.w_hat[: self.n + 1])
+        return head + [self.slope * ell for ell in range(len(head), self.n + 1)]
 
-    def potential(self, states: Sequence[int], minus_count: int | None = None) -> float:
-        w = self.weight_array()
-        return sum(w[ell] for ell in minus_run_lengths(states, minus_count))
+    def potential(self, states: Sequence[int]) -> float:
+        return sum(self.weight(length) for _, length in runs_of(states).minus_runs)
 
 
 def build_weight_table(
@@ -354,7 +355,7 @@ def check_constraints(table: WeightTable) -> ConstraintReport:
 
 
 # ---------------------------------------------------------------------------
-# exact one-step drift oracle
+# one-step drift
 
 
 @dataclass(frozen=True)
@@ -366,60 +367,67 @@ class DriftReport:
 
 
 def one_step_drift(state: CycleState, table: WeightTable) -> DriftReport:
-    """Exact E[W(next state)] by enumerating every edge and outcome branch.
+    """Exact E[W(next state)] over every edge and outcome branch, in O(n).
 
-    Brute force on purpose: each successor configuration is materialized and
-    its potential recomputed from its actual run structure, so run merges are
-    priced at their true weight.  O(n^2) per call.
+    An update changes only the defector runs next to its edge, so each
+    branch is priced by the change in those runs' weights, with no
+    successor state built:
+
+    * a (-,-) edge at offset x of a run of length L splits the run into
+      x + a and L - 2 - x + b, where a (b) is 1 when the left (right)
+      endpoint stays a defector.  Summed over x = 0..L-2 the new weights
+      are prefix[L - 1 + a] + prefix[L - 1 + b], with prefix[k] = w[0] +
+      ... + w[k-1], so a run costs O(1);
+    * a mixed edge adds its cooperator to the run it faces (L -> L + 1).
+      When that cooperator stands alone it merges the runs on both sides
+      (LQ, LR -> LQ + 1 + LR), and when it is the last one the whole cycle
+      becomes one run (n - 1 -> n);
+    * the all-defect cycle loses one or two defectors from its single run;
+    * (+,+) edges and (-,-) outcomes change nothing.
+
+    Branch probabilities come from dynamics.transition_branches.  The O(n^2)
+    brute force that rescans every successor lives in tests/test_weights.py
+    as the reference this function is checked against.
     """
     if state.n != table.n:
         raise ValueError(f"state has n = {state.n} but table has n = {table.n}")
     n = state.n
-    p = table.p
-    states = state.states
     w = table.weight_array()
-
-    def pot(s: list[int]) -> float:
-        return sum(w[ell] for ell in minus_run_lengths(s))
-
-    w0 = pot(states)
-    bound = (1.0 - table.omega / n) * w0
-    if state.minus_count == 0:
+    runs = runs_of(state.states)
+    minus = [length for _, length in runs.minus_runs]
+    if not minus:
         return DriftReport(0.0, 0.0, 0.0, True)
+    w0 = sum(w[length] for length in minus)
 
-    if table.kind is StrategyKind.SRP:
-        branches = [((1, 1), p), ((-1, -1), 1.0 - p)]
+    # (a, b, prob) for each (-,-) outcome that is not (-,-) again
+    splits = [
+        (int(na == -1), int(nb == -1), prob)
+        for (na, nb), prob in transition_branches((-1, -1), Strategy(table.kind, table.p))
+        if (na, nb) != (-1, -1)
+    ]
+    if runs.is_all_minus:
+        change = n * sum(prob * (w[n - 2 + a + b] - w[n]) for a, b, prob in splits)
     else:
-        branches = [
-            ((1, 1), p * p),
-            ((1, -1), p * (1.0 - p)),
-            ((-1, 1), (1.0 - p) * p),
-            ((-1, -1), (1.0 - p) * (1.0 - p)),
-        ]
-
-    total = 0.0
-    for i in range(n):
-        j = i + 1 if i + 1 < n else 0
-        a, b = states[i], states[j]
-        if a == 1 and b == 1:
-            total += w0
-        elif a == 1 or b == 1:
-            succ = list(states)
-            succ[i] = -1
-            succ[j] = -1
-            total += pot(succ)
-        else:
-            for (na, nb), prob in branches:
-                if prob == 0.0:
-                    continue
-                if na == -1 and nb == -1:
-                    total += prob * w0
-                    continue
-                succ = list(states)
-                succ[i] = na
-                succ[j] = nb
-                total += prob * pot(succ)
-    expected = total / n
+        prefix = list(accumulate(w, initial=0.0))
+        change = sum(
+            prob * (prefix[length - 1 + a] + prefix[length - 1 + b] - (length - 1) * w[length])
+            for length in minus
+            for a, b, prob in splits
+        )
+        # Runs alternate around the cycle; pair each cooperator run with the
+        # defector runs on its left and right.
+        m = len(minus)
+        shift = 0 if runs.plus_runs[0][0] < runs.minus_runs[0][0] else 1
+        for k, (_, plus) in enumerate(runs.plus_runs):
+            left, right = minus[k - 1 + shift], minus[(k + shift) % m]
+            if plus > 1:
+                change += w[left + 1] - w[left] + w[right + 1] - w[right]
+            elif m > 1:
+                change += 2.0 * (w[left + 1 + right] - w[left] - w[right])
+            else:
+                change += 2.0 * (w[n] - w[left])
+    expected = w0 + change / n
+    bound = (1.0 - table.omega / n) * w0
     return DriftReport(
         state_potential=w0,
         expected_next=expected,

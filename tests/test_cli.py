@@ -15,6 +15,12 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def child_env():
+    """Environment for a child interpreter that imports this checkout's package."""
+    src = os.path.dirname(os.path.dirname(pavlov_cycle.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 # ---------------------------------------------------------------------------
 # thresholds
 
@@ -124,15 +130,13 @@ def test_simulate_bad_init(capsys):
 def test_simulate_rejects_trace_every_below_1(tmp_path, every):
     # In a child process with a timeout: the defect this guards against is an
     # endless loop, which must fail the test rather than hang it.
-    src = os.path.dirname(os.path.dirname(pavlov_cycle.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     trace = tmp_path / "trace.csv"
     proc = subprocess.run(
         [
             sys.executable, "-m", "pavlov_cycle.cli", "simulate", "--n", "20", "--p", "0.9",
             "--trace", str(trace), "--trace-every", every, "--quiet",
         ],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, env=child_env(), timeout=60,
     )
     assert proc.returncode == 1
     assert "--trace-every must be >= 1" in proc.stderr
@@ -277,6 +281,31 @@ def test_meanfield_csv_cols_zero_keeps_p0(capsys, tmp_path):
 def test_meanfield_rejects_big_dt(capsys):
     code, _, err = run_cli(capsys, "meanfield", "--p", "0.02", "--dt", "0.5", "--quiet")
     assert code == 1
+
+
+# Runs meanfield in a child interpreter; argv[1] "numpy" patches the kernel
+# loader to return None, so integrate takes its numpy loop.
+MEANFIELD_CHILD = """
+import sys
+from pavlov_cycle import _native, cli
+if sys.argv[1] == "numpy":
+    _native.load = lambda: None
+sys.exit(cli.main(["meanfield", "--p", "0.01", "--tau-end", sys.argv[2], "--quiet"]))
+"""
+
+
+@pytest.mark.parametrize("path", ["kernel", "numpy"])
+@pytest.mark.parametrize("tau_end", ["inf", "nan", "1e30"])
+def test_meanfield_rejects_unbounded_tau_end(tau_end, path):
+    # In a child process with a timeout: 1e30 looped until killed on the
+    # numpy path, and inf ended in an OverflowError traceback.
+    proc = subprocess.run(
+        [sys.executable, "-c", MEANFIELD_CHILD, path, tau_end],
+        capture_output=True, text=True, env=child_env(), timeout=60,
+    )
+    assert proc.returncode == 1
+    assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_defect_time_output(capsys):

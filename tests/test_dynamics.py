@@ -17,11 +17,11 @@ from pavlov_cycle.dynamics import (
     advance,
     edge_transition,
     extract_runs,
-    minus_run_lengths,
     new_state,
     run_until_absorbed,
     runs_of,
     step,
+    transition_branches,
 )
 
 
@@ -105,6 +105,29 @@ def test_edge_transition_p0_self_loop():
 def test_edge_transition_p1_always_cooperates():
     for strat in (Strategy.rp(1.0), Strategy.srp(1.0), Strategy.pavlov()):
         assert edge_transition(-1, -1, strat, 0.9999999, 0.9999999) == (1, 1)
+
+
+BRANCH_STRATEGIES = [Strategy.pavlov()] + [
+    make(p) for make in (Strategy.rp, Strategy.srp) for p in (0.0, 0.25, 0.5, 0.75, 1.0)
+]
+
+
+@pytest.mark.parametrize("strat", BRANCH_STRATEGIES, ids=lambda s: f"{s.kind.value}-{s.p}")
+def test_transition_branches_match_edge_transition(strat):
+    # On a midpoint grid of 8 x 8 uniform pairs, u < p holds for exactly a
+    # fraction p of each coordinate when p is a multiple of 1/4, so every
+    # branch's share of the grid equals its probability exactly.
+    grid = [(k + 0.5) / 8 for k in range(8)]
+    for pair in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+        branches = transition_branches(pair, strat)
+        assert sum(prob for _, prob in branches) == pytest.approx(1.0, abs=1e-15)
+        assert len({new for new, _ in branches}) == len(branches)
+        counts = dict.fromkeys((new for new, _ in branches), 0)
+        for u1 in grid:
+            for u2 in grid:
+                counts[edge_transition(*pair, strat, u1, u2)] += 1
+        for new, prob in branches:
+            assert counts[new] / 64 == pytest.approx(prob, abs=1e-15), (pair, new)
 
 
 def test_rp_branch_frequencies():
@@ -313,7 +336,8 @@ def test_runs_match_reference_and_invariants(states):
     assert got == sorted(ref)
     assert sum(ln for _, ln, _ in got) == n
     assert len(r.plus_runs) == len(r.minus_runs)
-    assert sorted(ln for _, ln in r.minus_runs) == sorted(minus_run_lengths(states))
+    # minus_runs lists the defector runs in increasing start order
+    assert list(r.minus_runs) == [(s, ln) for s, ln, sign in sorted(ref) if sign == -1]
 
 
 @settings(max_examples=100, deadline=None)

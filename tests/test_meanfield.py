@@ -186,6 +186,18 @@ def test_integrate_without_kernel_is_the_numpy_loop(monkeypatch):
     assert np.array_equal(got.P, ref.P)
 
 
+@pytest.mark.parametrize("tau_end", [math.inf, -math.inf, math.nan, 1e30, 1e308, 2.1e4])
+def test_integrate_rejects_unbounded_tau_end_before_any_work(monkeypatch, tau_end):
+    # 2.1e4 at dt = 1e-3, stride 10 and L = 64 asks for 2.1e6 rows of 65
+    # values, just above the 2^27 limit.
+    def no_load():
+        raise AssertionError("the kernel was loaded before tau_end was checked")
+
+    monkeypatch.setattr(_native, "load", no_load)
+    with pytest.raises(ValueError, match="finite|sample table"):
+        integrate(0.01, tau_end, OdeConfig(dt=1e-3, L=64, sample_stride=10))
+
+
 def test_load_without_compiler_returns_none(monkeypatch):
     monkeypatch.setattr(shutil, "which", lambda name, *args, **kwargs: None)
     _native.load.cache_clear()

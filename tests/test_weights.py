@@ -1,12 +1,24 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from pavlov_cycle.dynamics import AllCooperate, Explicit, new_state
+from pavlov_cycle.dynamics import (
+    AllCooperate,
+    Explicit,
+    Strategy,
+    StrategyKind,
+    new_state,
+    runs_of,
+    transition_branches,
+)
 from pavlov_cycle.weights import (
+    MARGIN_TOL,
+    DriftReport,
     InfeasibleParameterError,
     NoRootError,
+    WeightTable,
     build_weight_table,
     certified_cutoff,
     check_constraints,
@@ -174,6 +186,7 @@ def test_no_root_cases():
 def test_build_table_basic_invariants():
     t = build_weight_table("rp", 0.9, 0.0, 50)
     w = t.weight_array()
+    assert w == [t.weight(ell) for ell in range(51)]
     assert w[0] == 0.0 and w[1] == 1.0
     assert t.slope <= 1.0
     for ell in range(1, 50):
@@ -181,6 +194,12 @@ def test_build_table_basic_invariants():
         assert w[ell + 1] >= w[ell] - 1e-12  # non-decreasing at omega = 0
         assert t.slope * ell <= w[ell] + 1e-12
         assert w[ell] <= ell + 1e-12
+
+
+def test_weight_array_shorter_than_raw_weights():
+    t = build_weight_table("rp", 0.87, 0.0, 5)  # crossover 8 lies beyond n
+    assert t.crossover > t.n
+    assert t.weight_array() == list(t.w_hat[:6])
 
 
 def test_build_table_monotonicity_with_omega_slack():
@@ -258,7 +277,141 @@ def test_huge_omega_cannot_build():
 
 
 # ---------------------------------------------------------------------------
-# drift oracle
+# one-step drift
+
+
+def _drift_brute_force(state, table):
+    """Reference: E[W(next state)] by enumerating every edge and outcome branch.
+
+    Each successor configuration is materialized and its potential
+    recomputed from its actual run structure, so run merges are priced at
+    their true weight.  O(n^2) per call.
+    """
+    if state.n != table.n:
+        raise ValueError(f"state has n = {state.n} but table has n = {table.n}")
+    n = state.n
+    states = state.states
+    w = table.weight_array()
+
+    def pot(s):
+        return sum(w[ell] for _, ell in runs_of(s).minus_runs)
+
+    w0 = pot(states)
+    bound = (1.0 - table.omega / n) * w0
+    if state.minus_count == 0:
+        return DriftReport(0.0, 0.0, 0.0, True)
+
+    branches = transition_branches((-1, -1), Strategy(table.kind, table.p))
+
+    total = 0.0
+    for i in range(n):
+        j = i + 1 if i + 1 < n else 0
+        a, b = states[i], states[j]
+        if a == 1 and b == 1:
+            total += w0
+        elif a == 1 or b == 1:
+            succ = list(states)
+            succ[i] = -1
+            succ[j] = -1
+            total += pot(succ)
+        else:
+            for (na, nb), prob in branches:
+                if prob == 0.0:
+                    continue
+                if na == -1 and nb == -1:
+                    total += prob * w0
+                    continue
+                succ = list(states)
+                succ[i] = na
+                succ[j] = nb
+                total += prob * pot(succ)
+    expected = total / n
+    return DriftReport(
+        state_potential=w0,
+        expected_next=expected,
+        bound=bound,
+        satisfied=expected <= bound + MARGIN_TOL,
+    )
+
+
+DRIFT_CONFIGS = [
+    (kind, p, omega)
+    for kind, ps in (("rp", (0.87, 0.9, 1.0)), ("srp", (0.7, 1.0)))
+    for p in ps
+    for omega in (0.0, 1e-4)
+]
+
+
+def _assert_drift_matches(state, table):
+    got = one_step_drift(state, table)
+    ref = _drift_brute_force(state, table)
+    where = (table.kind.value, table.p, table.omega, tuple(state.states))
+    assert got.satisfied == ref.satisfied, where
+    for field in ("state_potential", "expected_next", "bound"):
+        assert math.isclose(getattr(got, field), getattr(ref, field), rel_tol=1e-12), (field, where)
+    return got
+
+
+def _drift_tables(n):
+    tables = [build_weight_table(kind, p, omega, n) for kind, p, omega in DRIFT_CONFIGS]
+    # No certificate exists at p = 0.5; with these hand-set weights about
+    # half of all states do not contract, so satisfied is compared both ways.
+    for kind in (StrategyKind.RP, StrategyKind.SRP):
+        tables.append(WeightTable(kind, 0.5, 1e-4, n, w_hat=(0.0, 1.0, 1.0), crossover=2, slope=0.5))
+    return tables
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_drift_matches_brute_force_on_every_state(n):
+    tables = _drift_tables(n)
+    for sts in itertools.product((-1, 1), repeat=n):
+        state = new_state(n, Explicit(sts), 0)
+        for table in tables:
+            _assert_drift_matches(state, table)
+
+
+DRIFT_EDGE_CASES = {
+    "single-cooperator": (1, -1, -1, -1, -1, -1, -1),  # a merge makes the whole cycle
+    "all-defect": (-1,) * 8,
+    "alternating": (1, -1) * 4,
+    "run-wraps-index-0": (-1, -1, 1, 1, -1, 1, -1, -1),
+    "n3-lone-cooperator": (-1, 1, -1),
+    "n3-lone-defector": (1, -1, 1),
+}
+
+
+@pytest.mark.parametrize("sts", DRIFT_EDGE_CASES.values(), ids=DRIFT_EDGE_CASES.keys())
+def test_drift_edge_cases_match_brute_force(sts):
+    n = len(sts)
+    for table in _drift_tables(n):
+        _assert_drift_matches(new_state(n, Explicit(sts), 0), table)
+
+
+def test_drift_all_defect_closed_form():
+    # every edge is (-,-): one cycle run of n - 2 (both cooperate), n - 1 (one) or n
+    n = 8
+    for kind, p, omega in DRIFT_CONFIGS:
+        t = build_weight_table(kind, p, omega, n)
+        w = t.weight_array()
+        if kind == "rp":
+            want = p * p * w[n - 2] + 2 * p * (1 - p) * w[n - 1] + (1 - p) ** 2 * w[n]
+        else:
+            want = p * w[n - 2] + (1 - p) * w[n]
+        got = one_step_drift(new_state(n, Explicit((-1,) * n), 0), t)
+        assert got.expected_next == pytest.approx(want, rel=1e-12), (kind, p, omega)
+
+
+def test_drift_matches_brute_force_on_criterion_4_states():
+    # The 6000 random states of acceptance criterion 4: same seed, same draws.
+    rng = np.random.default_rng(20250808)
+    for n in (10, 20, 40):
+        for p in (0.87, 0.9, 0.95, 1.0):
+            table = build_weight_table("rp", p, 1e-4, n)
+            for _ in range(500):
+                sts = rng.choice([-1, 1], size=n).tolist()
+                while all(s == 1 for s in sts):
+                    sts = rng.choice([-1, 1], size=n).tolist()
+                assert _assert_drift_matches(new_state(n, Explicit(tuple(sts)), 0), table).satisfied
 
 
 def test_drift_all_plus_degenerate():
