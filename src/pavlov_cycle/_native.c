@@ -1,7 +1,7 @@
 /* Fixed-step RK4 of the truncated mean-field hierarchy (see meanfield.py).
  *
  * Mirrors meanfield._integrate_numpy term for term: the right-hand side adds
- * its terms in the order _rhs does, the stage points are P + (0.5 dt) k, and
+ * its terms in the order rhs does, the stage points are P + (0.5 dt) k, and
  * the update is P + (dt/6)(((k1 + 2 k2) + 2 k3) + k4).  Only the convolution
  * sum may be accumulated in another order than numpy's, which moves P_3 and
  * beyond by rounding; P_0..P_2 never read it.

@@ -32,8 +32,8 @@ from .dynamics import (
     Strategy,
     StrategyKind,
     advance,
-    extract_runs,
     new_state,
+    runs_of,
 )
 from .experiments import (
     SweepConfig,
@@ -104,14 +104,6 @@ def _init_to_str(init: InitConfig) -> str:
     return repr(init)
 
 
-def _strategy(kind: str, p: float) -> Strategy:
-    if kind == "pavlov":
-        if p != 1.0:
-            raise UsageError("pavlov is deterministic; leave --p at 1")
-        return Strategy.pavlov()
-    return Strategy(StrategyKind(kind), p)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -119,7 +111,7 @@ def _strategy(kind: str, p: float) -> Strategy:
 def cmd_simulate(args: argparse.Namespace) -> int:
     if args.trace_every < 1:
         raise UsageError(f"--trace-every must be >= 1, got {args.trace_every}")
-    strategy = _strategy(args.strategy, args.p)
+    strategy = Strategy(StrategyKind(args.strategy), args.p)
     init = _parse_init(args.init)
     _echo_config(
         {
@@ -140,7 +132,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         rows = ["step,minus_count,coop_fraction,minus_runs,plus_runs,longest_minus,longest_plus"]
 
         def snapshot() -> None:
-            runs = extract_runs(state)
+            runs = runs_of(state.states)
             lm = max((ln for _, ln in runs.minus_runs), default=0)
             lp = max((ln for _, ln in runs.plus_runs), default=0)
             rows.append(
@@ -421,10 +413,7 @@ def main(argv: list[str] | None = None) -> int:
     except InfeasibleParameterError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 2
-    except NoRootError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except SystemExit as exc:  # argparse --help/--version

@@ -166,9 +166,6 @@ class CycleState:
     def cooperator_fraction(self) -> float:
         return (self.n - self.minus_count) / self.n
 
-    def check_minus_count(self) -> bool:
-        return self.minus_count == self.states.count(-1)
-
 
 def new_state(n: int, init: InitConfig, seed: int) -> CycleState:
     """Build a seeded state; identical (n, init, seed) give identical states."""
@@ -428,8 +425,3 @@ def runs_of(states: Sequence[int]) -> RunList:
     if states[starts[0]] == 1:
         return RunList(tuple(runs[0::2]), tuple(runs[1::2]), False, False)
     return RunList(tuple(runs[1::2]), tuple(runs[0::2]), False, False)
-
-
-def extract_runs(state: CycleState) -> RunList:
-    return runs_of(state.states)
-

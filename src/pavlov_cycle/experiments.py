@@ -74,10 +74,7 @@ class SweepConfig:
             if n < 3:
                 raise ValueError(f"every n must be >= 3, got {n}")
         for p in self.p_list:
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"every p must lie in [0, 1], got {p}")
-            if self.strategy_kind is StrategyKind.PAVLOV and p != 1.0:
-                raise ValueError("pavlov sweeps only make sense with p = 1")
+            Strategy(self.strategy_kind, p)
 
 
 @dataclass(frozen=True)
@@ -133,7 +130,10 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> list[SweepRecord]:
     if workers <= 1:
         results = [_run_block(b) for b in blocks]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # The pool starts all of its processes at the first submit, so ask
+        # for no more than there are blocks or CPUs.
+        processes = min(workers, len(blocks), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=processes) as pool:
             results = list(pool.map(_run_block, blocks, chunksize=1))
     results.sort(key=lambda kv: kv[0])
     return [rec for _, block in results for rec in block]
@@ -208,9 +208,10 @@ def defect_time_variance(n: int) -> float:
     return (n - 1) * n * (n - 2) / 4.0
 
 
-def defect_time_experiment(
-    n: int, reps: int, master_seed: int, band_constant: float = 3.0
-) -> DefectTimeStats:
+_BAND_CONSTANT = 3.0  # DefectTimeStats.deviation_band = constant * n^1.5 * log n
+
+
+def defect_time_experiment(n: int, reps: int, master_seed: int) -> DefectTimeStats:
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
     if reps < 1:
@@ -229,7 +230,7 @@ def defect_time_experiment(
         reps=reps,
         mean_steps=sum(times) / reps,
         expected_steps=n * (n - 1) / 2.0,
-        deviation_band=band_constant * n**1.5 * math.log(n),
+        deviation_band=_BAND_CONSTANT * n**1.5 * math.log(n),
         times=tuple(times),
     )
 

@@ -46,9 +46,6 @@ class MeanFieldState:
     tau: float
     P: np.ndarray  # P_0..P_L
 
-    def tail_sum(self, start: int = 3) -> float:
-        return float(self.P[start:].sum())
-
 
 @dataclass(frozen=True)
 class OdeConfig:
@@ -67,12 +64,8 @@ class OdeConfig:
             raise ValueError(f"sample_stride must be >= 1, got {self.sample_stride}")
 
 
-def rhs(state: MeanFieldState) -> np.ndarray:
-    """Time derivative of the truncated hierarchy at the given state."""
-    return _rhs(state.P, state.p)
-
-
-def _rhs(P: np.ndarray, p: float) -> np.ndarray:
+def rhs(P: np.ndarray, p: float) -> np.ndarray:
+    """Time derivative of the truncated hierarchy at P_0..P_L."""
     L = len(P) - 1
     dP = np.empty_like(P)
     dP[0] = -(1.0 + 5.0 * p - 2.0 * p * p) * P[0] + P[1] + 1.0
@@ -101,8 +94,9 @@ class Trajectory:
         idx = int(np.argmin(np.abs(self.taus - tau)))
         return MeanFieldState(p=self.p, L=self.L, tau=float(self.taus[idx]), P=self.P[idx])
 
-    def tail_sums(self, start: int = 3) -> np.ndarray:
-        return self.P[:, start:].sum(axis=1)
+    def tail_sums(self) -> np.ndarray:
+        """sum_{l>=3} P_l at every sampled time."""
+        return self.P[:, 3:].sum(axis=1)
 
 
 # Largest sample table integrate will fill, in float64 values (1 GiB).
@@ -166,10 +160,10 @@ def _integrate_numpy(p: float, tau_end: float, config: OdeConfig) -> Trajectory:
     taus = [0.0]
     samples = [P.copy()]
     for k in range(n_steps):
-        k1 = _rhs(P, p)
-        k2 = _rhs(P + 0.5 * dt * k1, p)
-        k3 = _rhs(P + 0.5 * dt * k2, p)
-        k4 = _rhs(P + dt * k3, p)
+        k1 = rhs(P, p)
+        k2 = rhs(P + 0.5 * dt * k1, p)
+        k3 = rhs(P + 0.5 * dt * k2, p)
+        k4 = rhs(P + dt * k3, p)
         P = P + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.all(np.isfinite(P)):
             raise _diverged(k + 1, p, config)
@@ -316,8 +310,12 @@ class TailReport:
     decay_ok: bool  # fitted ratio at least as fast as 1/(1+p^3)
 
 
-def tail_check(trajectory: Trajectory, tail_threshold_factor: float = 0.5) -> TailReport:
-    """Verify the tail mass stays below factor*p^2 and decays geometrically.
+# The tail mass must stay below this multiple of p^2.
+_TAIL_THRESHOLD_FACTOR = 0.5
+
+
+def tail_check(trajectory: Trajectory) -> TailReport:
+    """Verify the tail mass stays below 0.5 p^2 and decays geometrically.
 
     The geometric fit regresses log P_l on l over l >= 3 at the final sampled
     time, ignoring entries below 1e-280 to stay clear of underflow.  gamma is
@@ -327,7 +325,7 @@ def tail_check(trajectory: Trajectory, tail_threshold_factor: float = 0.5) -> Ta
     p = trajectory.p
     tails = trajectory.tail_sums()
     max_tail = float(tails.max())
-    threshold = tail_threshold_factor * p * p
+    threshold = _TAIL_THRESHOLD_FACTOR * p * p
 
     base = 1.0 + p**3
     ells = np.arange(trajectory.P.shape[1])

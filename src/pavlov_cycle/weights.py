@@ -26,13 +26,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .dynamics import CycleState, Strategy, StrategyKind, runs_of, transition_branches
 
 MARGIN_TOL = 1e-9
+
+# Longest run length searched for the crossover.
+_L_CAP = 200
 
 _RATIO_SERIES = "h"
 _INCREMENT_SERIES = "f"
@@ -60,8 +63,8 @@ def weight_recurrence(
     """Raw weight sequence w[0..l_max] from the equality recurrence."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
-    if omega < 0.0:
-        raise ValueError(f"omega must be >= 0, got {omega}")
+    if not math.isfinite(omega) or omega < 0.0:
+        raise ValueError(f"omega must be finite and >= 0, got {omega}")
     kind = _normalize_kind(kind)
     w = [0.0, 1.0]
     if l_max < 1:
@@ -85,8 +88,8 @@ def weight_recurrence(
     return w
 
 
-def _crossover_of(w: Sequence[float], l_cap: int) -> tuple[int, float] | None:
-    for ell in range(1, l_cap + 1):
+def _crossover_of(w: Sequence[float]) -> tuple[int, float] | None:
+    for ell in range(1, _L_CAP + 1):
         if w[ell + 1] <= 0.0:
             return None
         if w[ell + 1] * ell > w[ell] * (ell + 1):  # w[l+1]/(l+1) > w[l]/l
@@ -94,25 +97,20 @@ def _crossover_of(w: Sequence[float], l_cap: int) -> tuple[int, float] | None:
     return None
 
 
-def find_crossover(
-    kind: StrategyKind | str, p: float, l_cap: int = 200
-) -> tuple[int, float] | None:
+def find_crossover(kind: StrategyKind | str, p: float) -> tuple[int, float] | None:
     """First length where the ratio w[l]/l turns upward, with its value.
 
     Works on the omega = 0 raw sequence.  Returns (crossover, slope) where
     slope = w[crossover]/crossover, or None when the ratio keeps decreasing
-    up to l_cap or a raw weight drops to <= 0 first.  An exactly flat step
-    counts as still decreasing, which matters at p = 1.
+    up to length 200 or a raw weight drops to <= 0 first.  An exactly flat
+    step counts as still decreasing, which matters at p = 1.
     """
-    if l_cap < 2:
-        raise ValueError(f"l_cap must be >= 2, got {l_cap}")
-    kind = _normalize_kind(kind)
-    w = weight_recurrence(kind, p, 0.0, l_cap + 1)
-    return _crossover_of(w, l_cap)
+    w = weight_recurrence(kind, p, 0.0, _L_CAP + 1)
+    return _crossover_of(w)
 
 
-def _series_value(kind: StrategyKind, series: str, ell: int, p: float) -> float:
-    w = weight_recurrence(kind, p, 0.0, ell + 1)
+def _series_value(series: str, ell: int, p: float) -> float:
+    w = weight_recurrence(StrategyKind.RP, p, 0.0, ell + 1)
     if series == _RATIO_SERIES:
         return w[ell + 1] / (ell + 1) - w[ell] / ell
     if series == _INCREMENT_SERIES:
@@ -120,17 +118,29 @@ def _series_value(kind: StrategyKind, series: str, ell: int, p: float) -> float:
     raise ValueError(f"series must be 'h' or 'f', got {series!r}")
 
 
-def threshold_bisect(
-    series: str,
-    ell: int,
-    tol: float = 1e-6,
-    kind: StrategyKind | str = StrategyKind.RP,
-) -> float:
-    """Root in (0, 1) of the chosen diagnostic series at fixed run length.
+def _bisect(pred: Callable[[float], bool], lo: float, hi: float, tol: float) -> tuple[float, float]:
+    """Halve [lo, hi], with pred false at lo and true at hi, to width tol.
+
+    Also stops once lo and hi are adjacent floats: the midpoint then rounds
+    to one of them, so a tol below their spacing would loop forever.
+    """
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
+def threshold_bisect(series: str, ell: int, tol: float = 1e-6) -> float:
+    """Root in (0, 1) of the chosen rp diagnostic series at fixed run length.
 
     Series 'h' is the forward difference of the per-length ratio w[l]/l;
     series 'f' is the forward difference of the raw weights.  Both are
-    evaluated from the omega = 0 recurrence, so each is a polynomial in p,
+    evaluated from the rp omega = 0 recurrence, so each is a polynomial in p,
     negative below its threshold and positive above.  Raises NoRootError
     when no sign change exists (e.g. h at l = 1 is identically -1/2).
     """
@@ -138,34 +148,23 @@ def threshold_bisect(
         raise ValueError(f"ell must be >= 1, got {ell}")
     if tol <= 0.0:
         raise ValueError(f"tol must be > 0, got {tol}")
-    kind = _normalize_kind(kind)
     grid = 64
-    prev = _series_value(kind, series, ell, 0.0)
+    prev = _series_value(series, ell, 0.0)
     for k in range(1, grid + 1):
         q = k / grid
-        val = _series_value(kind, series, ell, q)
+        val = _series_value(series, ell, q)
         if prev < 0.0 < val:
             lo, hi = (k - 1) / grid, q
             break
         prev = val
     else:
         raise NoRootError(f"series {series!r} at length {ell} has no root in (0, 1)")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if _series_value(kind, series, ell, mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
+    lo, hi = _bisect(lambda q: _series_value(series, ell, q) > 0.0, lo, hi, tol)
     return 0.5 * (lo + hi)
 
 
-def certified_cutoff(
-    series: str,
-    ell: int,
-    root: float | None = None,
-    kind: StrategyKind | str = StrategyKind.RP,
-) -> float:
-    """Tightest 3-decimal parameter bound for which the one-sided claim holds.
+def certified_cutoff(series: str, ell: int, root: float | None = None) -> float:
+    """Tightest 3-decimal rp parameter bound for which the one-sided claim holds.
 
     For the ratio series the claim is "h(l) <= 0 for all p up to the bound"
     (largest such 3-dp value, i.e. the root rounded down); for the increment
@@ -174,20 +173,19 @@ def certified_cutoff(
     the series itself, so the result is a certified grid bound rather than a
     display rounding of the root.
     """
-    kind = _normalize_kind(kind)
     if root is None:
-        root = threshold_bisect(series, ell, 1e-6, kind)
+        root = threshold_bisect(series, ell)
     if series == _RATIO_SERIES:
         k = math.floor(root * 1000.0)
-        while k > 0 and _series_value(kind, series, ell, k / 1000.0) > 0.0:
+        while k > 0 and _series_value(series, ell, k / 1000.0) > 0.0:
             k -= 1
-        while k + 1 < 1000 and _series_value(kind, series, ell, (k + 1) / 1000.0) <= 0.0:
+        while k + 1 < 1000 and _series_value(series, ell, (k + 1) / 1000.0) <= 0.0:
             k += 1
     else:
         k = math.ceil(root * 1000.0)
-        while k < 1000 and _series_value(kind, series, ell, k / 1000.0) < 0.0:
+        while k < 1000 and _series_value(series, ell, k / 1000.0) < 0.0:
             k += 1
-        while k - 1 > 0 and _series_value(kind, series, ell, (k - 1) / 1000.0) >= 0.0:
+        while k - 1 > 0 and _series_value(series, ell, (k - 1) / 1000.0) >= 0.0:
             k -= 1
     return k / 1000.0
 
@@ -227,21 +225,17 @@ class WeightTable:
         return sum(self.weight(length) for _, length in runs_of(states).minus_runs)
 
 
-def build_weight_table(
-    kind: StrategyKind | str, p: float, omega: float, n: int, l_cap: int = 200
-) -> WeightTable:
+def build_weight_table(kind: StrategyKind | str, p: float, omega: float, n: int) -> WeightTable:
     """Construct the weight table, or raise InfeasibleParameterError."""
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
-    if l_cap < 2:
-        raise ValueError(f"l_cap must be >= 2, got {l_cap}")
     kind = _normalize_kind(kind)
-    w = weight_recurrence(kind, p, omega, l_cap + 1)
-    found = _crossover_of(w, l_cap)
+    w = weight_recurrence(kind, p, omega, _L_CAP + 1)
+    found = _crossover_of(w)
     if found is None:
         raise InfeasibleParameterError(
             f"no weight certificate for {kind.value} at p = {p}, omega = {omega}: "
-            f"the ratio w[l]/l never turns upward (searched l <= {l_cap})"
+            f"the ratio w[l]/l never turns upward (searched l <= {_L_CAP})"
         )
     crossover, slope = found
     return WeightTable(
@@ -273,23 +267,22 @@ class ConstraintReport:
     internal_margins: tuple[float, ...]  # index 0 is run length 2
     nrun_margin: float
     merge_margin: float
-    tol: float = MARGIN_TOL
 
     @property
     def singleton_ok(self) -> bool:
-        return self.singleton_margin >= -self.tol
+        return self.singleton_margin >= -MARGIN_TOL
 
     @property
     def internal_ok(self) -> bool:
-        return all(m >= -self.tol for m in self.internal_margins)
+        return all(m >= -MARGIN_TOL for m in self.internal_margins)
 
     @property
     def nrun_ok(self) -> bool:
-        return self.nrun_margin >= -self.tol
+        return self.nrun_margin >= -MARGIN_TOL
 
     @property
     def merge_ok(self) -> bool:
-        return self.merge_margin >= -self.tol
+        return self.merge_margin >= -MARGIN_TOL
 
     @property
     def feasible(self) -> bool:
@@ -440,13 +433,7 @@ def one_step_drift(state: CycleState, table: WeightTable) -> DriftReport:
 # feasibility threshold in p
 
 
-def min_feasible_p(
-    kind: StrategyKind | str,
-    omega: float,
-    n: int,
-    tol: float = 1e-3,
-    l_cap: int = 200,
-) -> float:
+def min_feasible_p(kind: StrategyKind | str, omega: float, n: int, tol: float = 1e-3) -> float:
     """Smallest p (to within tol) with a crossover and all constraints feasible."""
     if tol <= 0.0:
         raise ValueError(f"tol must be > 0, got {tol}")
@@ -454,7 +441,7 @@ def min_feasible_p(
 
     def feasible(p: float) -> bool:
         try:
-            table = build_weight_table(kind, p, omega, n, l_cap)
+            table = build_weight_table(kind, p, omega, n)
         except InfeasibleParameterError:
             return False
         return check_constraints(table).feasible
@@ -470,14 +457,7 @@ def min_feasible_p(
         raise InfeasibleParameterError(
             f"no feasible p in [0, 1] for {kind.value} at omega = {omega}, n = {n}"
         )
-    lo = max(hi - 1.0 / grid, 0.0)
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return _bisect(feasible, max(hi - 1.0 / grid, 0.0), hi, tol)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -107,7 +107,7 @@ def test_criterion_3_crossover_certificate():
         worst = max(worst, found[0])
         assert found[0] <= 8, (k / 1000.0, found)
     for k in range(0, 870):
-        found = find_crossover("rp", k / 1000.0, 200)
+        found = find_crossover("rp", k / 1000.0)
         assert found is None, (k / 1000.0, found)
     elapsed = time.perf_counter() - t0
     _report(

@@ -55,6 +55,26 @@ def test_thresholds_f_table(capsys):
     assert bounds == {3: 0.689, 4: 0.805, 5: 0.850, 6: 0.865, 7: 0.869}
 
 
+def test_thresholds_tol_below_float_spacing(capsys):
+    # In a child process with a timeout: once the bisection interval held
+    # adjacent floats its midpoint rounded to an end and the loop never ended.
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "pavlov_cycle.cli", "thresholds", "--series", "f",
+            "--lmax", "4", "--tol", "1e-17", "--quiet",
+        ],
+        capture_output=True, text=True, env=child_env(), timeout=60,
+    )
+    assert proc.returncode == 0
+    code, out, _ = run_cli(capsys, "thresholds", "--series", "f", "--lmax", "4", "--quiet")
+    assert code == 0
+
+    def bounds(text):
+        return [line.rsplit(",", 1)[1] for line in text.splitlines()]
+
+    assert bounds(proc.stdout) == bounds(out)
+
+
 # ---------------------------------------------------------------------------
 # weights
 
@@ -75,6 +95,14 @@ def test_weights_infeasible_exits_2(capsys):
     code, _, err = run_cli(capsys, "weights", "--p", "0.5", "--strategy", "rp", "--quiet")
     assert code == 2
     assert "infeasible" in err
+
+
+@pytest.mark.parametrize("omega", ["nan", "inf"])
+def test_weights_rejects_non_finite_omega(capsys, omega):
+    # nan used to report "infeasible" with exit 2
+    code, _, err = run_cli(capsys, "weights", "--p", "0.9", "--omega", omega, "--quiet")
+    assert code == 1
+    assert err.startswith("error: omega must be finite")
 
 
 def test_weights_srp_near_its_threshold(capsys):

@@ -16,7 +16,6 @@ from pavlov_cycle.dynamics import (
     StrategyKind,
     advance,
     edge_transition,
-    extract_runs,
     new_state,
     run_until_absorbed,
     runs_of,
@@ -206,7 +205,7 @@ def test_step_locality_and_conservation():
                 assert s.states[k] == before[k]
         assert (s.states[i], s.states[j]) == out.new_pair
         assert (before[i], before[j]) == out.old_pair
-        assert s.check_minus_count()
+        assert s.minus_count == s.states.count(-1)
 
 
 def test_three_cycle_single_defector_enumeration():
@@ -285,24 +284,24 @@ def test_identical_seeds_identical_runs():
 
 
 def test_extract_runs_all_minus_pseudo_run():
-    r = extract_runs(new_state(7, AllDefect(), 0))
+    r = runs_of(new_state(7, AllDefect(), 0).states)
     assert r.is_all_minus and not r.is_all_plus
     assert r.minus_runs == ((0, 7),) and r.plus_runs == ()
 
 
 def test_extract_runs_all_plus_pseudo_run():
-    r = extract_runs(new_state(5, AllCooperate(), 0))
+    r = runs_of(new_state(5, AllCooperate(), 0).states)
     assert r.is_all_plus and r.plus_runs == ((0, 5),) and r.minus_runs == ()
 
 
 def test_extract_runs_wraparound():
-    r = extract_runs(new_state(5, Explicit((1, -1, -1, 1, 1)), 0))
+    r = runs_of(new_state(5, Explicit((1, -1, -1, 1, 1)), 0).states)
     assert r.minus_runs == ((1, 2),)
     assert r.plus_runs == ((3, 3),)
 
 
 def test_extract_runs_alternating():
-    r = extract_runs(new_state(4, Explicit((-1, 1, -1, 1)), 0))
+    r = runs_of(new_state(4, Explicit((-1, 1, -1, 1)), 0).states)
     assert r.minus_runs == ((0, 1), (2, 1))
     assert r.plus_runs == ((1, 1), (3, 1))
 
@@ -350,4 +349,4 @@ def test_minus_count_cache_stays_consistent(states, seed):
     strat = Strategy.rp(0.5)
     for _ in range(50):
         step(s, strat)
-        assert s.check_minus_count()
+        assert s.minus_count == s.states.count(-1)

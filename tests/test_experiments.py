@@ -3,6 +3,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from pavlov_cycle import experiments
 from pavlov_cycle.charts import render_phase_charts
 from pavlov_cycle.dynamics import Outcome, StrategyKind
 from pavlov_cycle.experiments import (
@@ -97,6 +98,33 @@ def test_run_sweep_deterministic_and_parallel_equivalent():
     again = run_sweep(config, workers=1)
     parallel = run_sweep(config, workers=2)
     assert serial == again == parallel
+
+
+@pytest.mark.parametrize(("cpus", "expected"), [(8, 3), (2, 2), (None, 1)])
+def test_run_sweep_pool_size_is_capped(monkeypatch, cpus, expected):
+    # The pool starts all of its processes at the first submit; a fake pool
+    # records the size asked for and runs the blocks in this process.
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    config = _tiny_config(p_list=(0.3,), reps=3)  # three blocks of one rep
+    serial = run_sweep(config)
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
+    assert run_sweep(config, workers=64) == serial
+    assert sizes == [expected]
 
 
 def test_pavlov_cell_absorbs_fast():

@@ -8,7 +8,6 @@ from pavlov_cycle import _native
 from pavlov_cycle.dynamics import AllDefect, Strategy, advance, new_state
 from pavlov_cycle.experiments import derive_seed
 from pavlov_cycle.meanfield import (
-    MeanFieldState,
     OdeConfig,
     RegimeError,
     closed_form_short_runs,
@@ -34,7 +33,7 @@ def test_rhs_at_initial_condition():
     p = 0.3
     P = np.zeros(9)
     P[0] = 1.0
-    d = rhs(MeanFieldState(p=p, L=8, tau=0.0, P=P))
+    d = rhs(P, p)
     assert d[0] == pytest.approx(-5 * p + 2 * p * p, abs=1e-15)
     assert d[1] == pytest.approx(2 * p * (1 - p), abs=1e-15)
     assert d[2] == pytest.approx(p * p, abs=1e-15)
@@ -43,7 +42,7 @@ def test_rhs_at_initial_condition():
 
 def test_rhs_p_to_zero_limit():
     P = np.array([0.8, 0.1, 0.05, 0.02, 0.01, 0.0])
-    d = rhs(MeanFieldState(p=0.0, L=5, tau=0.0, P=P))
+    d = rhs(P, 0.0)
     assert d[0] == pytest.approx(-P[0] + P[1] + 1.0, abs=1e-15)
     for ell in range(1, 5):
         assert d[ell] == pytest.approx(-2 * P[ell] + 2 * P[ell + 1], abs=1e-15)
@@ -53,7 +52,7 @@ def test_rhs_p_to_zero_limit():
 def test_rhs_p0_fixed_point():
     P = np.zeros(7)
     P[0] = 1.0
-    d = rhs(MeanFieldState(p=0.0, L=6, tau=0.0, P=P))
+    d = rhs(P, 0.0)
     assert np.all(d == 0.0)
 
 

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from pavlov_cycle import weights
 from pavlov_cycle.dynamics import (
     AllCooperate,
     Explicit,
@@ -115,6 +116,9 @@ def test_recurrence_validation():
         weight_recurrence("rp", 1.5, 0.0, 5)
     with pytest.raises(ValueError):
         weight_recurrence("rp", 0.5, -1.0, 5)
+    for omega in (math.nan, math.inf):  # nan used to pass the omega < 0 check
+        with pytest.raises(ValueError, match="finite"):
+            weight_recurrence("rp", 0.5, omega, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +137,7 @@ def test_crossover_p1_ties_count_as_decreasing():
 
 
 def test_no_crossover_below_threshold():
-    assert find_crossover("rp", 0.5, 100) is None
+    assert find_crossover("rp", 0.5) is None
     assert find_crossover("rp", 0.869) is None
     assert find_crossover("rp", 0.0) is None
 
@@ -483,6 +487,33 @@ def test_min_feasible_p_rp():
 def test_min_feasible_p_srp():
     p0 = min_feasible_p("srp", 1e-4, 100, 1e-3)
     assert abs(p0 - 0.699) <= 0.005
+
+
+def test_min_feasible_p_stops_at_adjacent_floats(monkeypatch):
+    # tol = 1e-300 lies far below the spacing of floats near p0, so the
+    # bisection can only end at adjacent floats.  It used to loop forever;
+    # counting table builds turns a relapse into a failure, not a hang.
+    build = weights.build_weight_table
+
+    def feasible(p):
+        try:
+            return check_constraints(build("rp", p, 1e-4, 10)).feasible
+        except InfeasibleParameterError:
+            return False
+
+    coarse = min_feasible_p("rp", 1e-4, 10, 1e-3)
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        assert calls < 1000, "bisection does not terminate"
+        return build(*args)
+
+    monkeypatch.setattr(weights, "build_weight_table", counted)
+    p0 = min_feasible_p("rp", 1e-4, 10, 1e-300)
+    assert p0 <= coarse <= p0 + 1e-3
+    assert feasible(p0) and not feasible(math.nextafter(p0, 0.0))
 
 
 def test_pavlov_point_is_feasible():
