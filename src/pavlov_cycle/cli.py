@@ -72,9 +72,15 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _echo_config(args: dict, quiet: bool) -> None:
-    if not quiet:
-        print(json.dumps(args, sort_keys=True), file=sys.stderr)
+def _echo_config(args: argparse.Namespace, resolved: dict | None = None) -> None:
+    """Echo the configuration to stderr as JSON, unless --quiet.
+
+    By default the configuration is the parsed arguments themselves.
+    """
+    if resolved is None:
+        resolved = {k: v for k, v in vars(args).items() if k not in ("func", "quiet")}
+    if not args.quiet:
+        print(json.dumps(resolved, sort_keys=True), file=sys.stderr)
 
 
 def _parse_init(text: str) -> InitConfig:
@@ -113,20 +119,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise UsageError(f"--trace-every must be >= 1, got {args.trace_every}")
     strategy = Strategy(StrategyKind(args.strategy), args.p)
     init = _parse_init(args.init)
-    _echo_config(
-        {
-            "command": "simulate",
-            "n": args.n,
-            "p": strategy.p,
-            "strategy": args.strategy,
-            "init": args.init,
-            "max_steps": args.max_steps,
-            "seed": args.seed,
-            "trace": args.trace,
-            "trace_every": args.trace_every,
-        },
-        args.quiet,
-    )
+    _echo_config(args)
     state = new_state(args.n, init, args.seed)
     if args.trace:
         rows = ["step,minus_count,coop_fraction,minus_runs,plus_runs,longest_minus,longest_plus"]
@@ -213,7 +206,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         "init": _init_to_str(config.init),
         "threads": args.threads,
     }
-    _echo_config(resolved, args.quiet)
+    _echo_config(args, resolved)
     os.makedirs(args.out_dir, exist_ok=True)
     records = run_sweep(config, workers=args.threads)
     cells = phase_summary(records)
@@ -231,17 +224,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_weights(args: argparse.Namespace) -> int:
-    _echo_config(
-        {
-            "command": "weights",
-            "strategy": args.strategy,
-            "p": args.p,
-            "omega": args.omega,
-            "n": args.n,
-            "out": args.out,
-        },
-        args.quiet,
-    )
+    Strategy(StrategyKind(args.strategy), args.p)  # pavlov only at p = 1, as in simulate
+    _echo_config(args)
     table = build_weight_table(args.strategy, args.p, args.omega, args.n)
     report = check_constraints(table)
     print(
@@ -261,10 +245,7 @@ def cmd_weights(args: argparse.Namespace) -> int:
 
 
 def cmd_thresholds(args: argparse.Namespace) -> int:
-    _echo_config(
-        {"command": "thresholds", "series": args.series, "lmax": args.lmax, "tol": args.tol},
-        args.quiet,
-    )
+    _echo_config(args)
     print("ell,root,bound")
     for ell in range(1, args.lmax + 1):
         try:
@@ -278,18 +259,7 @@ def cmd_thresholds(args: argparse.Namespace) -> int:
 
 
 def cmd_meanfield(args: argparse.Namespace) -> int:
-    _echo_config(
-        {
-            "command": "meanfield",
-            "p": args.p,
-            "tau_end": args.tau_end,
-            "dt": args.dt,
-            "L": args.L,
-            "out": args.out,
-            "csv_cols": args.csv_cols,
-        },
-        args.quiet,
-    )
+    _echo_config(args)
     if args.csv_cols < 0:
         raise UsageError(f"--csv-cols must be >= 0, got {args.csv_cols}")
     config = OdeConfig(dt=args.dt, L=args.L)
@@ -319,10 +289,7 @@ def cmd_meanfield(args: argparse.Namespace) -> int:
 
 
 def cmd_defect_time(args: argparse.Namespace) -> int:
-    _echo_config(
-        {"command": "defect-time", "n": args.n, "reps": args.reps, "seed": args.seed},
-        args.quiet,
-    )
+    _echo_config(args)
     stats = defect_time_experiment(args.n, args.reps, args.seed)
     sigma = math.sqrt(defect_time_variance(args.n))
     outside = sum(

@@ -24,9 +24,10 @@ u < p strictly, so p = 0 never cooperates and p = 1 always does.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -57,6 +58,8 @@ class Strategy:
     p: float
 
     def __post_init__(self) -> None:
+        # A plain string would skip the pavlov check below; frozen, so set directly.
+        object.__setattr__(self, "kind", StrategyKind(self.kind))
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"p must lie in [0, 1], got {self.p}")
         if self.kind is StrategyKind.PAVLOV and self.p != 1.0:
@@ -113,6 +116,24 @@ class Explicit:
 InitConfig = AllDefect | AllCooperate | SingleDefector | Bernoulli | Explicit
 
 
+def _draws(
+    seed: int, stream: int, refill: Callable[[np.random.Generator], np.ndarray]
+) -> Iterator:
+    """One stream of the randomness contract, drawn ``_BUF`` values at a time.
+
+    The stream's PCG64 generator is built on the first draw, so a state that
+    never steps pays for no generator.  The seed is checked at once.
+    """
+    seq = np.random.SeedSequence(seed)
+
+    def buffers() -> Iterator[list]:
+        rng = np.random.Generator(np.random.PCG64(seq.spawn(2)[stream]))
+        while True:
+            yield refill(rng).tolist()
+
+    return itertools.chain.from_iterable(buffers())
+
+
 class CycleState:
     """Mutable state of one run: the +-1 vector plus cached bookkeeping.
 
@@ -121,47 +142,15 @@ class CycleState:
     parallel freely.
     """
 
-    __slots__ = (
-        "n",
-        "states",
-        "minus_count",
-        "step_count",
-        "_edge_rng",
-        "_u_rng",
-        "_edge_buf",
-        "_edge_pos",
-        "_u_buf",
-        "_u_pos",
-    )
+    __slots__ = ("n", "states", "minus_count", "step_count", "_edges", "_uniforms")
 
     def __init__(self, n: int, states: list[int], seed: int) -> None:
-        edge_seq, u_seq = np.random.SeedSequence(seed).spawn(2)
         self.n = n
         self.states = states
         self.minus_count = states.count(-1)
         self.step_count = 0
-        self._edge_rng = np.random.Generator(np.random.PCG64(edge_seq))
-        self._u_rng = np.random.Generator(np.random.PCG64(u_seq))
-        self._edge_buf: list[int] = []
-        self._edge_pos = 0
-        self._u_buf: list[float] = []
-        self._u_pos = 0
-
-    def _next_edge(self) -> int:
-        if self._edge_pos >= len(self._edge_buf):
-            self._edge_buf = self._edge_rng.integers(0, self.n, size=_BUF).tolist()
-            self._edge_pos = 0
-        i = self._edge_buf[self._edge_pos]
-        self._edge_pos += 1
-        return i
-
-    def _next_uniform(self) -> float:
-        if self._u_pos >= len(self._u_buf):
-            self._u_buf = self._u_rng.random(_BUF).tolist()
-            self._u_pos = 0
-        u = self._u_buf[self._u_pos]
-        self._u_pos += 1
-        return u
+        self._edges: Iterator[int] = _draws(seed, 0, lambda rng: rng.integers(0, n, size=_BUF))
+        self._uniforms: Iterator[float] = _draws(seed, 1, lambda rng: rng.random(_BUF))
 
     def cooperator_fraction(self) -> float:
         return (self.n - self.minus_count) / self.n
@@ -194,7 +183,7 @@ def new_state(n: int, init: InitConfig, seed: int) -> CycleState:
     if isinstance(init, Bernoulli):
         q = init.q
         for i in range(n):
-            if state._next_uniform() < q:
+            if next(state._uniforms) < q:
                 states[i] = -1
         state.minus_count = states.count(-1)
     return state
@@ -260,7 +249,7 @@ class StepOutcome:
 def step(state: CycleState, strategy: Strategy) -> StepOutcome:
     """Advance the state by one uniformly chosen edge update."""
     n = state.n
-    i = state._next_edge()
+    i = next(state._edges)
     j = i + 1
     if j == n:
         j = 0
@@ -268,8 +257,8 @@ def step(state: CycleState, strategy: Strategy) -> StepOutcome:
     a = states[i]
     b = states[j]
     if a == -1 and b == -1:
-        u1 = state._next_uniform()
-        u2 = u1 if strategy.kind is StrategyKind.SRP else state._next_uniform()
+        u1 = next(state._uniforms)
+        u2 = u1 if strategy.kind is StrategyKind.SRP else next(state._uniforms)
         na, nb = edge_transition(a, b, strategy, u1, u2)
     else:
         na, nb = edge_transition(a, b, strategy, 0.0, 0.0)
@@ -299,13 +288,8 @@ def advance(state: CycleState, strategy: Strategy, step_budget: int) -> Outcome 
     mc = state.minus_count
     steps = state.step_count
     limit = steps + step_budget
-
-    edge_buf = state._edge_buf
-    epos = state._edge_pos
-    u_buf = state._u_buf
-    upos = state._u_pos
-    edge_rng = state._edge_rng
-    u_rng = state._u_rng
+    next_edge = state._edges.__next__
+    next_uniform = state._uniforms.__next__
     outcome: Outcome | None = None
 
     while True:
@@ -317,11 +301,7 @@ def advance(state: CycleState, strategy: Strategy, step_budget: int) -> Outcome 
             break
         if steps >= limit:
             break
-        if epos >= len(edge_buf):
-            edge_buf = edge_rng.integers(0, n, size=_BUF).tolist()
-            epos = 0
-        i = edge_buf[epos]
-        epos += 1
+        i = next_edge()
         j = i + 1
         if j == n:
             j = 0
@@ -335,22 +315,14 @@ def advance(state: CycleState, strategy: Strategy, step_budget: int) -> Outcome 
             mc += 1
         else:
             # (-,-) edge: consume uniforms in the documented order
-            if upos >= len(u_buf):
-                u_buf = u_rng.random(_BUF).tolist()
-                upos = 0
-            u1 = u_buf[upos]
-            upos += 1
+            u1 = next_uniform()
             if srp:
                 if u1 < p:
                     states[i] = 1
                     states[j] = 1
                     mc -= 2
             else:
-                if upos >= len(u_buf):
-                    u_buf = u_rng.random(_BUF).tolist()
-                    upos = 0
-                u2 = u_buf[upos]
-                upos += 1
+                u2 = next_uniform()
                 if u1 < p:
                     states[i] = 1
                     mc -= 1
@@ -361,10 +333,6 @@ def advance(state: CycleState, strategy: Strategy, step_budget: int) -> Outcome 
 
     state.minus_count = mc
     state.step_count = steps
-    state._edge_buf = edge_buf
-    state._edge_pos = epos
-    state._u_buf = u_buf
-    state._u_pos = upos
     return outcome
 
 

@@ -100,7 +100,7 @@ def _run_block(args) -> tuple[tuple[int, int, int], list[SweepRecord]]:
         res = run_until_absorbed(n, config.init, strategy, seed, config.max_steps)
         out.append(
             SweepRecord(
-                strategy=config.strategy_kind.value,
+                strategy=strategy.kind.value,
                 n=n,
                 p=p,
                 rep=rep,

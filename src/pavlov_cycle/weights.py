@@ -118,6 +118,12 @@ def _series_value(series: str, ell: int, p: float) -> float:
     raise ValueError(f"series must be 'h' or 'f', got {series!r}")
 
 
+def _check_tol(tol: float) -> None:
+    # nan and inf would pass a plain tol <= 0 test and skip the bisection.
+    if not math.isfinite(tol) or tol <= 0.0:
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
+
+
 def _bisect(pred: Callable[[float], bool], lo: float, hi: float, tol: float) -> tuple[float, float]:
     """Halve [lo, hi], with pred false at lo and true at hi, to width tol.
 
@@ -146,8 +152,7 @@ def threshold_bisect(series: str, ell: int, tol: float = 1e-6) -> float:
     """
     if ell < 1:
         raise ValueError(f"ell must be >= 1, got {ell}")
-    if tol <= 0.0:
-        raise ValueError(f"tol must be > 0, got {tol}")
+    _check_tol(tol)
     grid = 64
     prev = _series_value(series, ell, 0.0)
     for k in range(1, grid + 1):
@@ -435,8 +440,7 @@ def one_step_drift(state: CycleState, table: WeightTable) -> DriftReport:
 
 def min_feasible_p(kind: StrategyKind | str, omega: float, n: int, tol: float = 1e-3) -> float:
     """Smallest p (to within tol) with a crossover and all constraints feasible."""
-    if tol <= 0.0:
-        raise ValueError(f"tol must be > 0, got {tol}")
+    _check_tol(tol)
     kind = _normalize_kind(kind)
 
     def feasible(p: float) -> bool:

@@ -75,6 +75,15 @@ def test_thresholds_tol_below_float_spacing(capsys):
     assert bounds(proc.stdout) == bounds(out)
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_thresholds_rejects_non_finite_tol(capsys, tol):
+    # both used to print 1/64-grid midpoints as roots and exit 0
+    code, out, err = run_cli(capsys, "thresholds", "--series", "h", "--lmax", "5", "--tol", tol, "--quiet")
+    assert code == 1
+    assert err.startswith("error: tol must be finite")
+    assert "0.898438" not in out
+
+
 # ---------------------------------------------------------------------------
 # weights
 
@@ -103,6 +112,17 @@ def test_weights_rejects_non_finite_omega(capsys, omega):
     code, _, err = run_cli(capsys, "weights", "--p", "0.9", "--omega", omega, "--quiet")
     assert code == 1
     assert err.startswith("error: omega must be finite")
+
+
+def test_weights_pavlov_rejects_p_below_1(capsys):
+    # used to certify rp at p = 0.95 and exit 0
+    code, out, err = run_cli(capsys, "weights", "--p", "0.95", "--strategy", "pavlov")
+    assert code == 1
+    assert out == ""
+    assert err == "error: pavlov is the p = 1 strategy; use rp/srp for p < 1\n"
+    code, out, _ = run_cli(capsys, "weights", "--p", "1", "--strategy", "pavlov", "--quiet")
+    assert code == 0
+    assert "feasible=True" in out
 
 
 def test_weights_srp_near_its_threshold(capsys):
@@ -179,6 +199,39 @@ def test_config_echo_on_stderr(capsys):
     assert echoed["command"] == "simulate"
     assert echoed["n"] == 10
     assert echoed["max_steps"] == 43_000_000  # default spelled out
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (
+            ["simulate", "--n", "10", "--p", "0.5", "--init", "all-cooperate"],
+            {"command": "simulate", "init": "all-cooperate", "max_steps": 43_000_000, "n": 10,
+             "p": 0.5, "seed": 0, "strategy": "rp", "trace": None, "trace_every": 1000},
+        ),
+        (
+            ["weights", "--p", "0.9", "--n", "20"],
+            {"command": "weights", "n": 20, "omega": 0.0001, "out": None, "p": 0.9, "strategy": "rp"},
+        ),
+        (
+            ["thresholds", "--series", "f", "--lmax", "3"],
+            {"command": "thresholds", "lmax": 3, "series": "f", "tol": 1e-06},
+        ),
+        (
+            ["meanfield", "--p", "0.01", "--tau-end", "0.01"],
+            {"command": "meanfield", "L": 64, "csv_cols": 8, "dt": 0.001, "out": None, "p": 0.01,
+             "tau_end": 0.01},
+        ),
+        (
+            ["defect-time", "--n", "5", "--reps", "3"],
+            {"command": "defect-time", "n": 5, "reps": 3, "seed": 0},
+        ),
+    ],
+)
+def test_config_echo_lists_every_option(capsys, argv, expected):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 0
+    assert err.splitlines()[0] == json.dumps(expected, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------

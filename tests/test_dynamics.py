@@ -1,3 +1,4 @@
+import itertools
 import statistics
 
 import numpy as np
@@ -22,6 +23,7 @@ from pavlov_cycle.dynamics import (
     step,
     transition_branches,
 )
+from pavlov_cycle.dynamics import _BUF
 
 
 # ---------------------------------------------------------------------------
@@ -61,6 +63,8 @@ def test_new_state_errors():
         new_state(4, Explicit((1, -1, 1)), 0)
     with pytest.raises(ValueError):
         new_state(3, Explicit((1, 0, 1)), 0)
+    with pytest.raises(ValueError):
+        new_state(5, AllCooperate(), -1)  # the seed is checked before any draw
 
 
 def test_strategy_validation():
@@ -69,6 +73,16 @@ def test_strategy_validation():
     with pytest.raises(ValueError):
         Strategy(StrategyKind.PAVLOV, 0.5)
     assert Strategy.pavlov().p == 1.0
+
+
+def test_strategy_converts_kind():
+    # a plain string used to skip the pavlov check
+    with pytest.raises(ValueError, match="pavlov is the p = 1 strategy"):
+        Strategy("pavlov", 0.5)
+    with pytest.raises(ValueError):
+        Strategy("tit-for-tat", 0.5)
+    assert Strategy("srp", 0.5) == Strategy.srp(0.5)
+    assert Strategy("srp", 0.5).kind is StrategyKind.SRP
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +250,61 @@ def test_step_matches_advance_trajectories():
             step(b, strat)
         assert a.states == b.states
         assert a.step_count == b.step_count
+
+
+def _contract_replay(n, q, strategy, seed, steps):
+    """Final states, and uniforms drawn, after a Bernoulli(q) start and ``steps`` updates.
+
+    Draws straight from the randomness contract's two PCG64 streams, each
+    refilled ``_BUF`` values at a time, independently of CycleState.
+    """
+    edge_rng, u_rng = (
+        np.random.Generator(np.random.PCG64(s)) for s in np.random.SeedSequence(seed).spawn(2)
+    )
+    edges = (i for _ in itertools.count() for i in edge_rng.integers(0, n, size=_BUF).tolist())
+    uniforms = (u for _ in itertools.count() for u in u_rng.random(_BUF).tolist())
+    states = [-1 if next(uniforms) < q else 1 for _ in range(n)]
+    drawn = n
+    for _ in range(steps):
+        i = next(edges)
+        j = (i + 1) % n
+        u1 = u2 = 0.0
+        if states[i] == states[j] == -1:
+            u1 = u2 = next(uniforms)
+            drawn += 1
+            if strategy.kind is not StrategyKind.SRP:
+                u2 = next(uniforms)
+                drawn += 1
+        states[i], states[j] = edge_transition(states[i], states[j], strategy, u1, u2)
+    return states, drawn
+
+
+@pytest.mark.parametrize(
+    "strat",
+    [Strategy.rp(0.37), Strategy.srp(0.37), Strategy.pavlov(), Strategy.rp(0.0)],
+    ids=["rp", "srp", "pavlov", "rp-p0"],
+)
+def test_step_matches_advance_across_refills(strat):
+    # Budgets that do not divide the buffer size, then plain steps, so both
+    # streams refill mid-advance and mid-step.  The replay catches a draw
+    # skipped or repeated at a refill, which step and advance would share.
+    n, q, seed = 20000, 0.9, 2024
+    a = new_state(n, Bernoulli(q), seed)
+    b = new_state(n, Bernoulli(q), seed)
+    for budget in (7001, 9011, 12007, 8191):
+        advance(a, strat, budget)
+        limit = b.step_count + budget
+        while b.step_count < limit and b.minus_count and not (strat.p == 0.0 and b.minus_count == n):
+            step(b, strat)
+        assert (a.states, a.step_count, a.minus_count) == (b.states, b.step_count, b.minus_count)
+    for _ in range(6000):
+        step(a, strat)
+        step(b, strat)
+    assert (a.states, a.step_count, a.minus_count) == (b.states, b.step_count, b.minus_count)
+    states, uniforms = _contract_replay(n, q, strat, seed, b.step_count)
+    assert states == b.states
+    assert b.minus_count == states.count(-1)
+    assert b.step_count > 3 * _BUF and uniforms > 3 * _BUF  # three refills of each stream
 
 
 # ---------------------------------------------------------------------------

@@ -77,6 +77,15 @@ def test_config_validation():
         _tiny_config(strategy_kind=StrategyKind.PAVLOV, p_list=(0.5,))
 
 
+def test_config_converts_a_plain_string_kind():
+    # "pavlov" as a string used to skip the p = 1 check, and run_sweep
+    # then failed on str.value
+    with pytest.raises(ValueError, match="pavlov is the p = 1 strategy"):
+        SweepConfig("pavlov", (10,), (0.5,))
+    records = run_sweep(SweepConfig("rp", (10,), (1.0,), reps=2, max_steps=1000))
+    assert [r.strategy for r in records] == ["rp", "rp"]
+
+
 def test_run_sweep_shape_and_invariants():
     config = _tiny_config()
     records = run_sweep(config)

@@ -183,6 +183,13 @@ def test_no_root_cases():
         threshold_bisect("f", 2)  # p^2/2 >= 0 everywhere
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-6])
+def test_threshold_bisect_rejects_bad_tol(tol):
+    # nan and inf used to skip the bisection and return a grid midpoint
+    with pytest.raises(ValueError, match="tol must be finite and > 0"):
+        threshold_bisect("h", 5, tol)
+
+
 # ---------------------------------------------------------------------------
 # weight tables and constraints
 
@@ -514,6 +521,13 @@ def test_min_feasible_p_stops_at_adjacent_floats(monkeypatch):
     p0 = min_feasible_p("rp", 1e-4, 10, 1e-300)
     assert p0 <= coarse <= p0 + 1e-3
     assert feasible(p0) and not feasible(math.nextafter(p0, 0.0))
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0])
+def test_min_feasible_p_rejects_bad_tol(tol):
+    # nan used to return the first feasible grid point, 0.875
+    with pytest.raises(ValueError, match="tol must be finite and > 0"):
+        min_feasible_p("rp", 1e-4, 100, tol)
 
 
 def test_pavlov_point_is_feasible():
