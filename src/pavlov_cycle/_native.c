@@ -13,6 +13,12 @@
 #include <math.h>
 #include <string.h>
 
+static inline double term(const double *P, long l, long L, double c1, double c2, double conv)
+{
+    const double next = l < L ? P[l + 1] : 0.0; /* the closure P_{L+1} = 0 */
+    return -2.0 * P[l] + 2.0 * next + c1 * P[l - 1] * P[0] + c2 * conv;
+}
+
 static void rhs(const double *P, double p, long L, double *dP)
 {
     const double c0 = 1.0 + 5.0 * p - 2.0 * p * p;
@@ -21,13 +27,35 @@ static void rhs(const double *P, double p, long L, double *dP)
 
     dP[0] = -c0 * P[0] + P[1] + 1.0;
     dP[1] = -2.0 * P[1] + 2.0 * P[2] + c1 * P[0];
-    for (long l = 2; l <= L; l++) {
-        /* sum_{k=0}^{l-2} P_k P_{l-2-k}; the closure P_{L+1} = 0 */
+    /* conv_l = sum_{k=0}^{l-2} P_k P_{l-2-k}, four l at a time: the shared
+     * k loop gives four independent chains, and the longer sums then take
+     * their last terms, so every sum still adds in ascending k. */
+    long l = 2;
+    for (; l + 3 <= L; l += 4) {
+        double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+        for (long k = 0; k <= l - 2; k++) {
+            const double a = P[k];
+            s0 += a * P[l - 2 - k];
+            s1 += a * P[l - 1 - k];
+            s2 += a * P[l - k];
+            s3 += a * P[l + 1 - k];
+        }
+        s1 += P[l - 1] * P[0];
+        s2 += P[l - 1] * P[1];
+        s2 += P[l] * P[0];
+        s3 += P[l - 1] * P[2];
+        s3 += P[l] * P[1];
+        s3 += P[l + 1] * P[0];
+        dP[l] = term(P, l, L, c1, c2, s0);
+        dP[l + 1] = term(P, l + 1, L, c1, c2, s1);
+        dP[l + 2] = term(P, l + 2, L, c1, c2, s2);
+        dP[l + 3] = term(P, l + 3, L, c1, c2, s3);
+    }
+    for (; l <= L; l++) {
         double conv = 0.0;
         for (long k = 0; k <= l - 2; k++)
             conv += P[k] * P[l - 2 - k];
-        const double next = l < L ? P[l + 1] : 0.0;
-        dP[l] = -2.0 * P[l] + 2.0 * next + c1 * P[l - 1] * P[0] + c2 * conv;
+        dP[l] = term(P, l, L, c1, c2, conv);
     }
 }
 

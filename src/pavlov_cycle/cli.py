@@ -58,6 +58,7 @@ from .weights import (
     build_weight_table,
     certified_cutoff,
     check_constraints,
+    check_tol,
     threshold_bisect,
     write_weight_table_csv,
 )
@@ -246,6 +247,7 @@ def cmd_weights(args: argparse.Namespace) -> int:
 
 def cmd_thresholds(args: argparse.Namespace) -> int:
     _echo_config(args)
+    check_tol(args.tol)  # before the header, so a rejected --tol prints nothing
     print("ell,root,bound")
     for ell in range(1, args.lmax + 1):
         try:

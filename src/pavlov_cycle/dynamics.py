@@ -117,17 +117,21 @@ InitConfig = AllDefect | AllCooperate | SingleDefector | Bernoulli | Explicit
 
 
 def _draws(
-    seed: int, stream: int, refill: Callable[[np.random.Generator], np.ndarray]
+    seq: np.random.SeedSequence,
+    stream: int,
+    refill: Callable[[np.random.Generator], np.ndarray],
 ) -> Iterator:
     """One stream of the randomness contract, drawn ``_BUF`` values at a time.
 
     The stream's PCG64 generator is built on the first draw, so a state that
-    never steps pays for no generator.  The seed is checked at once.
+    never steps pays for no generator.  Its seed is built directly as the
+    child ``seq.spawn(2)[stream]`` of a fresh ``seq``, so both streams share
+    one ``seq`` and never spawn from it.
     """
-    seq = np.random.SeedSequence(seed)
 
     def buffers() -> Iterator[list]:
-        rng = np.random.Generator(np.random.PCG64(seq.spawn(2)[stream]))
+        child = np.random.SeedSequence(seq.entropy, spawn_key=(stream,))
+        rng = np.random.Generator(np.random.PCG64(child))
         while True:
             yield refill(rng).tolist()
 
@@ -149,8 +153,9 @@ class CycleState:
         self.states = states
         self.minus_count = states.count(-1)
         self.step_count = 0
-        self._edges: Iterator[int] = _draws(seed, 0, lambda rng: rng.integers(0, n, size=_BUF))
-        self._uniforms: Iterator[float] = _draws(seed, 1, lambda rng: rng.random(_BUF))
+        seq = np.random.SeedSequence(seed)  # checks the seed at once
+        self._edges: Iterator[int] = _draws(seq, 0, lambda rng: rng.integers(0, n, size=_BUF))
+        self._uniforms: Iterator[float] = _draws(seq, 1, lambda rng: rng.random(_BUF))
 
     def cooperator_fraction(self) -> float:
         return (self.n - self.minus_count) / self.n
@@ -172,7 +177,7 @@ def new_state(n: int, init: InitConfig, seed: int) -> CycleState:
             raise ValueError(
                 f"explicit initial state has length {len(init.states)}, expected {n}"
             )
-        if any(s not in (-1, 1) for s in init.states):
+        if not set(init.states) <= {-1, 1}:
             raise ValueError("explicit initial state must consist of +-1 entries")
         states = list(init.states)
     elif isinstance(init, Bernoulli):

@@ -11,7 +11,6 @@ import math
 import os
 import statistics
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .dynamics import (
@@ -133,6 +132,9 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> list[SweepRecord]:
         # The pool starts all of its processes at the first submit, so ask
         # for no more than there are blocks or CPUs.
         processes = min(workers, len(blocks), os.cpu_count() or 1)
+        # Imported here: the pool loads multiprocessing, which serial runs never need.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=processes) as pool:
             results = list(pool.map(_run_block, blocks, chunksize=1))
     results.sort(key=lambda kv: kv[0])

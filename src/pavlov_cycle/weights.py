@@ -25,8 +25,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
-from typing import Callable, Sequence
+from functools import cached_property
+from itertools import accumulate, islice
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -57,43 +58,67 @@ def _normalize_kind(kind: StrategyKind | str) -> StrategyKind:
     return kind
 
 
-def weight_recurrence(
-    kind: StrategyKind | str, p: float, omega: float, l_max: int
-) -> list[float]:
-    """Raw weight sequence w[0..l_max] from the equality recurrence."""
+def _raw_weights(kind: StrategyKind | str, p: float, omega: float) -> Iterator[float]:
+    """Raw weights w[0], w[1], ... from the equality recurrence, without end.
+
+    The arguments are checked at once; each term is computed when it is
+    pulled, so a scan stops paying at the term that decides it.
+    """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
     if not math.isfinite(omega) or omega < 0.0:
         raise ValueError(f"omega must be finite and >= 0, got {omega}")
-    kind = _normalize_kind(kind)
-    w = [0.0, 1.0]
-    if l_max < 1:
-        return w[: l_max + 1]
-    if l_max >= 2:
-        w.append((1.0 - 0.5 * omega) * w[1])
-    prefix = w[0]  # sum(w[0..l-2]) maintained incrementally
+    return _recurrence(_normalize_kind(kind), p, omega)
+
+
+def _recurrence(kind: StrategyKind, p: float, omega: float) -> Iterator[float]:
+    prev = 1.0  # w[1]
+    cur = (1.0 - 0.5 * omega) * prev  # w[2], from the singleton constraint
+    yield 0.0
+    yield prev
+    yield cur
+    prefix = 0.0  # sum(w[0..l-2]) maintained incrementally
+    ell = 2
     if kind is StrategyKind.RP:
         a = p * (2.0 - p)
         b = p * (1.0 - p)
         c = p * p - 2.0 * p
-        for ell in range(2, l_max):
-            nxt = -a * prefix - b * w[ell - 1] - 0.5 * (ell * c - (c + 2.0) + omega) * w[ell]
-            w.append(nxt)
-            prefix += w[ell - 1]
+        while True:
+            nxt = -a * prefix - b * prev - 0.5 * (ell * c - (c + 2.0) + omega) * cur
+            yield nxt
+            prefix += prev
+            prev, cur = cur, nxt
+            ell += 1
     else:
-        for ell in range(2, l_max):
-            nxt = -p * prefix + 0.5 * (p * ell - p + 2.0 - omega) * w[ell]
-            w.append(nxt)
-            prefix += w[ell - 1]
-    return w
+        while True:
+            nxt = -p * prefix + 0.5 * (p * ell - p + 2.0 - omega) * cur
+            yield nxt
+            prefix += prev
+            prev, cur = cur, nxt
+            ell += 1
 
 
-def _crossover_of(w: Sequence[float]) -> tuple[int, float] | None:
+def weight_recurrence(
+    kind: StrategyKind | str, p: float, omega: float, l_max: int
+) -> list[float]:
+    """Raw weight sequence w[0..l_max] from the equality recurrence."""
+    return list(islice(_raw_weights(kind, p, omega), max(l_max + 1, 0)))
+
+
+def _crossover_of(raw: Iterator[float]) -> tuple[list[float], int, float] | None:
+    """Pull raw weights until the crossover or a weight <= 0, whichever comes first.
+
+    Returns (w[0..crossover], crossover, slope), or None.  Reads at most
+    w[0.._L_CAP + 1], one term past the length it stops at.
+    """
+    w = [next(raw), next(raw)]
     for ell in range(1, _L_CAP + 1):
-        if w[ell + 1] <= 0.0:
+        nxt = next(raw)
+        if nxt <= 0.0:
             return None
-        if w[ell + 1] * ell > w[ell] * (ell + 1):  # w[l+1]/(l+1) > w[l]/l
-            return ell, w[ell] / ell
+        if nxt * ell > w[ell] * (ell + 1):  # w[l+1]/(l+1) > w[l]/l
+            return w, ell, w[ell] / ell
+        w.append(nxt)
     return None
 
 
@@ -105,8 +130,8 @@ def find_crossover(kind: StrategyKind | str, p: float) -> tuple[int, float] | No
     up to length 200 or a raw weight drops to <= 0 first.  An exactly flat
     step counts as still decreasing, which matters at p = 1.
     """
-    w = weight_recurrence(kind, p, 0.0, _L_CAP + 1)
-    return _crossover_of(w)
+    found = _crossover_of(_raw_weights(kind, p, 0.0))
+    return None if found is None else found[1:]
 
 
 def _series_value(series: str, ell: int, p: float) -> float:
@@ -118,7 +143,8 @@ def _series_value(series: str, ell: int, p: float) -> float:
     raise ValueError(f"series must be 'h' or 'f', got {series!r}")
 
 
-def _check_tol(tol: float) -> None:
+def check_tol(tol: float) -> None:
+    """Reject a bisection tolerance that is not finite and > 0."""
     # nan and inf would pass a plain tol <= 0 test and skip the bisection.
     if not math.isfinite(tol) or tol <= 0.0:
         raise ValueError(f"tol must be finite and > 0, got {tol}")
@@ -152,7 +178,7 @@ def threshold_bisect(series: str, ell: int, tol: float = 1e-6) -> float:
     """
     if ell < 1:
         raise ValueError(f"ell must be >= 1, got {ell}")
-    _check_tol(tol)
+    check_tol(tol)
     grid = 64
     prev = _series_value(series, ell, 0.0)
     for k in range(1, grid + 1):
@@ -222,9 +248,31 @@ class WeightTable:
         return self.slope * ell
 
     def weight_array(self) -> list[float]:
-        """w(0..n) as a list for O(1) lookups."""
-        head = list(self.w_hat[: self.n + 1])
-        return head + [self.slope * ell for ell in range(len(head), self.n + 1)]
+        """w(0..n) as a fresh list for O(1) lookups."""
+        return list(self._weights)
+
+    # Drift terms, computed on first use and kept for the table's lifetime.
+    # cached_property writes the instance __dict__ directly, which a frozen
+    # dataclass allows; ==, hash and repr still see only the fields above.
+
+    @cached_property
+    def _weights(self) -> tuple[float, ...]:
+        head = self.w_hat[: self.n + 1]
+        return head + tuple(self.slope * ell for ell in range(len(head), self.n + 1))
+
+    @cached_property
+    def _prefix(self) -> tuple[float, ...]:
+        """prefix[k] = w[0] + ... + w[k-1]."""
+        return tuple(accumulate(self._weights, initial=0.0))
+
+    @cached_property
+    def _splits(self) -> tuple[tuple[int, int, float], ...]:
+        """(a, b, prob) for each (-,-) outcome that is not (-,-) again."""
+        return tuple(
+            (int(na == -1), int(nb == -1), prob)
+            for (na, nb), prob in transition_branches((-1, -1), Strategy(self.kind, self.p))
+            if (na, nb) != (-1, -1)
+        )
 
     def potential(self, states: Sequence[int]) -> float:
         return sum(self.weight(length) for _, length in runs_of(states).minus_runs)
@@ -235,20 +283,19 @@ def build_weight_table(kind: StrategyKind | str, p: float, omega: float, n: int)
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
     kind = _normalize_kind(kind)
-    w = weight_recurrence(kind, p, omega, _L_CAP + 1)
-    found = _crossover_of(w)
+    found = _crossover_of(_raw_weights(kind, p, omega))
     if found is None:
         raise InfeasibleParameterError(
             f"no weight certificate for {kind.value} at p = {p}, omega = {omega}: "
             f"the ratio w[l]/l never turns upward (searched l <= {_L_CAP})"
         )
-    crossover, slope = found
+    w_hat, crossover, slope = found
     return WeightTable(
         kind=kind,
         p=p,
         omega=omega,
         n=n,
-        w_hat=tuple(w[: crossover + 1]),
+        w_hat=tuple(w_hat),
         crossover=crossover,
         slope=slope,
     )
@@ -390,23 +437,17 @@ def one_step_drift(state: CycleState, table: WeightTable) -> DriftReport:
     if state.n != table.n:
         raise ValueError(f"state has n = {state.n} but table has n = {table.n}")
     n = state.n
-    w = table.weight_array()
+    w = table._weights
     runs = runs_of(state.states)
     minus = [length for _, length in runs.minus_runs]
     if not minus:
         return DriftReport(0.0, 0.0, 0.0, True)
     w0 = sum(w[length] for length in minus)
-
-    # (a, b, prob) for each (-,-) outcome that is not (-,-) again
-    splits = [
-        (int(na == -1), int(nb == -1), prob)
-        for (na, nb), prob in transition_branches((-1, -1), Strategy(table.kind, table.p))
-        if (na, nb) != (-1, -1)
-    ]
+    splits = table._splits
     if runs.is_all_minus:
         change = n * sum(prob * (w[n - 2 + a + b] - w[n]) for a, b, prob in splits)
     else:
-        prefix = list(accumulate(w, initial=0.0))
+        prefix = table._prefix
         change = sum(
             prob * (prefix[length - 1 + a] + prefix[length - 1 + b] - (length - 1) * w[length])
             for length in minus
@@ -440,7 +481,7 @@ def one_step_drift(state: CycleState, table: WeightTable) -> DriftReport:
 
 def min_feasible_p(kind: StrategyKind | str, omega: float, n: int, tol: float = 1e-3) -> float:
     """Smallest p (to within tol) with a crossover and all constraints feasible."""
-    _check_tol(tol)
+    check_tol(tol)
     kind = _normalize_kind(kind)
 
     def feasible(p: float) -> bool:

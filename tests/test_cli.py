@@ -84,6 +84,15 @@ def test_thresholds_rejects_non_finite_tol(capsys, tol):
     assert "0.898438" not in out
 
 
+@pytest.mark.parametrize("tol", ["0", "nan"])
+def test_thresholds_rejects_tol_before_its_header(capsys, tol):
+    # The ell,root,bound header used to reach stdout before the error.
+    code, out, err = run_cli(capsys, "thresholds", "--series", "h", "--tol", tol, "--quiet")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: tol must be finite")
+
+
 # ---------------------------------------------------------------------------
 # weights
 
@@ -442,3 +451,21 @@ def test_trace_and_meanfield_outputs_byte_identical(capsys, tmp_path):
             "--out", m, "--quiet",
         )[0] == 0
     assert open(m1, "rb").read() == open(m2, "rb").read()
+
+
+IMPORT_CHILD = """
+import sys
+import pavlov_cycle.experiments, pavlov_cycle.cli
+print("concurrent.futures.process" in sys.modules, "multiprocessing" in sys.modules)
+"""
+
+
+def test_import_loads_no_process_pool():
+    # Only run_sweep(workers > 1) needs the pool; serial runs and the other
+    # commands should not pay for loading multiprocessing.
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_CHILD],
+        capture_output=True, text=True, env=child_env(), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False"]

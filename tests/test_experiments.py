@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import xml.etree.ElementTree as ET
 
@@ -130,7 +131,7 @@ def test_run_sweep_pool_size_is_capped(monkeypatch, cpus, expected):
 
     config = _tiny_config(p_list=(0.3,), reps=3)  # three blocks of one rep
     serial = run_sweep(config)
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
     assert run_sweep(config, workers=64) == serial
     assert sizes == [expected]

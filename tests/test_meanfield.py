@@ -176,6 +176,53 @@ def test_kernel_reports_first_non_finite_step():
     assert lib.mf_rk4(0.5, 1e-3, 3, 1, L, start, out, work) == 1
 
 
+def _scalar_rk4_rows(start, p, dt, n_steps, L):
+    """_native.c's rhs and RK4 update, one Python float operation per C one."""
+    c0 = 1.0 + 5.0 * p - 2.0 * p * p
+    c1 = 2.0 * p * (1.0 - p)
+    c2 = p * p
+
+    def rhs_c(P):
+        dP = [-c0 * P[0] + P[1] + 1.0, -2.0 * P[1] + 2.0 * P[2] + c1 * P[0]]
+        for ell in range(2, L + 1):
+            conv = 0.0
+            for k in range(ell - 1):
+                conv += P[k] * P[ell - 2 - k]
+            nxt = P[ell + 1] if ell < L else 0.0
+            dP.append(-2.0 * P[ell] + 2.0 * nxt + c1 * P[ell - 1] * P[0] + c2 * conv)
+        return dP
+
+    half, sixth = 0.5 * dt, dt / 6.0
+    P = list(start)
+    rows = []
+    for _ in range(n_steps):
+        k1 = rhs_c(P)
+        k2 = rhs_c([a + half * b for a, b in zip(P, k1)])
+        k3 = rhs_c([a + half * b for a, b in zip(P, k2)])
+        k4 = rhs_c([a + dt * b for a, b in zip(P, k3)])
+        P = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4) for a, b1, b2, b3, b4 in zip(P, k1, k2, k3, k4)]
+        rows.append(P)
+    return rows
+
+
+@pytest.mark.parametrize("L", [3, 4, 5, 7, 9])
+def test_kernel_is_the_scalar_transcription_bit_for_bit(L):
+    # Pins every P_l, not just P_0..P_2: the kernel computes four convolution
+    # sums at a time, and each must still add its terms in ascending k.
+    lib = _native.load()
+    if lib is None:
+        pytest.skip("no C compiler found, or the kernel could not be built or loaded")
+    # Large p and dt so that a one-ulp change in a convolution sum reaches P.
+    p, dt, n_steps = 0.9, 0.1, 50
+    work = np.empty(6 * (L + 1))
+    for seed in range(4):
+        start = np.random.default_rng([L, seed]).uniform(0.05, 1.0, L + 1)
+        start /= start.sum()  # a distribution, so the 50 steps stay finite
+        out = np.zeros((n_steps, L + 1))
+        assert lib.mf_rk4(p, dt, n_steps, 1, L, start, out, work) == 0
+        assert out.tolist() == _scalar_rk4_rows(start.tolist(), p, dt, n_steps, L), seed
+
+
 def test_integrate_without_kernel_is_the_numpy_loop(monkeypatch):
     monkeypatch.setattr(_native, "load", lambda: None)
     config = OdeConfig(dt=1e-3, L=16, sample_stride=7)

@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -149,6 +151,103 @@ def test_crossover_bounded_by_eight_in_fast_region():
         assert found is not None and found[0] <= 8, p
 
 
+def _full_recurrence(kind, p, omega, l_max):
+    """w[0..l_max] built as one list, the way the recurrence was before it stopped early."""
+    kind = weights._normalize_kind(kind)
+    w = [0.0, 1.0]
+    if l_max < 1:
+        return w[: l_max + 1]
+    if l_max >= 2:
+        w.append((1.0 - 0.5 * omega) * w[1])
+    prefix = w[0]
+    if kind is StrategyKind.RP:
+        a, b, c = p * (2.0 - p), p * (1.0 - p), p * p - 2.0 * p
+        for ell in range(2, l_max):
+            w.append(-a * prefix - b * w[ell - 1] - 0.5 * (ell * c - (c + 2.0) + omega) * w[ell])
+            prefix += w[ell - 1]
+    else:
+        for ell in range(2, l_max):
+            w.append(-p * prefix + 0.5 * (p * ell - p + 2.0 - omega) * w[ell])
+            prefix += w[ell - 1]
+    return w
+
+
+def _full_scan(kind, p, omega):
+    """(crossover and slope or None, length the scan stopped at, all 202 weights)."""
+    w = _full_recurrence(kind, p, omega, weights._L_CAP + 1)
+    for ell in range(1, weights._L_CAP + 1):
+        if w[ell + 1] <= 0.0:
+            return None, ell, w
+        if w[ell + 1] * ell > w[ell] * (ell + 1):
+            return (ell, w[ell] / ell), ell, w
+    return None, weights._L_CAP, w
+
+
+def _scan_counting_pulls(kind, p, omega):
+    pulled = []
+
+    def counted():
+        for value in weights._raw_weights(kind, p, omega):
+            pulled.append(value)
+            yield value
+
+    return weights._crossover_of(counted()), pulled
+
+
+def test_crossover_matches_full_scan_on_thousandths_grid():
+    stops = {"weight <= 0": 0, "crossover": 0, "cap": 0}
+    for k in range(1001):
+        p = k / 1000
+        expected, stop, w = _full_scan("rp", p, 0.0)
+        assert find_crossover("rp", p) == expected, p
+        found, pulled = _scan_counting_pulls("rp", p, 0.0)
+        # the scan reads w[stop + 1] to decide and nothing beyond it
+        assert pulled == w[: stop + 2], p
+        if expected is None:
+            assert found is None
+            stops["cap" if stop == weights._L_CAP and w[stop + 1] > 0.0 else "weight <= 0"] += 1
+        else:
+            assert found == (w[: stop + 1], *expected)
+            stops["crossover"] += 1
+    assert stops == {"weight <= 0": 869, "crossover": 131, "cap": 1}
+
+
+@pytest.mark.parametrize("omega", [0.0, 1e-4])
+@pytest.mark.parametrize("kind", ["rp", "srp"])
+def test_weight_table_matches_full_scan(kind, omega):
+    for k in range(129):
+        p = k / 128
+        expected, stop, w = _full_scan(kind, p, omega)
+        found, pulled = _scan_counting_pulls(kind, p, omega)
+        assert pulled == w[: stop + 2], p
+        if expected is None:
+            assert found is None
+            with pytest.raises(InfeasibleParameterError):
+                build_weight_table(kind, p, omega, 20)
+            continue
+        crossover, slope = expected
+        table = build_weight_table(kind, p, omega, 20)
+        assert (table.crossover, table.slope) == (crossover, slope), p
+        assert table.w_hat == tuple(w[: crossover + 1]), p
+
+
+@pytest.mark.parametrize("l_max", [-1, 0, 1, 2, 3, 201])
+def test_weight_recurrence_is_the_full_list(l_max):
+    for kind in ("rp", "srp", "pavlov"):
+        for p in (0.0, 0.3, 0.87, 1.0):
+            for omega in (0.0, 1e-4):
+                got = weight_recurrence(kind, p, omega, l_max)
+                want = _full_recurrence(kind, p, omega, l_max)
+                # bit patterns, since p = 1 overflows to nan within 201 terms
+                assert type(got) is list and np.array(got).tobytes() == np.array(want).tobytes()
+
+
+def test_raw_weights_checks_its_arguments_before_the_first_pull():
+    for kind, p, omega in (("rp", 1.5, 0.0), ("rp", 0.5, -1.0), ("rp", 0.5, math.nan), ("xx", 0.5, 0.0)):
+        with pytest.raises(ValueError):
+            weights._raw_weights(kind, p, omega)  # no next(): a generator would not raise yet
+
+
 # ---------------------------------------------------------------------------
 # threshold roots
 
@@ -211,6 +310,28 @@ def test_weight_array_shorter_than_raw_weights():
     t = build_weight_table("rp", 0.87, 0.0, 5)  # crossover 8 lies beyond n
     assert t.crossover > t.n
     assert t.weight_array() == list(t.w_hat[:6])
+
+
+def test_cached_drift_terms_leave_table_identity_alone():
+    fresh = build_weight_table("rp", 0.9, 1e-4, 12)
+    used = build_weight_table("rp", 0.9, 1e-4, 12)
+    state = new_state(12, Explicit((-1, -1, 1, -1, 1, 1, -1, -1, -1, 1, 1, -1)), 0)
+    report = one_step_drift(state, used)  # fills the cached drift terms
+    assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
+    restored = pickle.loads(pickle.dumps(used))
+    assert restored == fresh and hash(restored) == hash(fresh)
+    assert one_step_drift(state, restored) == report == one_step_drift(state, fresh)
+    smaller = dataclasses.replace(used, n=8)
+    assert smaller == dataclasses.replace(fresh, n=8)
+    assert smaller.weight_array() == [smaller.weight(ell) for ell in range(9)]
+    assert one_step_drift(new_state(8, Explicit((-1, 1) * 4), 0), smaller) == one_step_drift(
+        new_state(8, Explicit((-1, 1) * 4), 0), dataclasses.replace(fresh, n=8)
+    )
+    # weight_array hands out a copy, never the cached weights
+    w = used.weight_array()
+    w[3] = -1.0
+    assert used.weight_array() == fresh.weight_array()
+    assert one_step_drift(state, used) == report
 
 
 def test_build_table_monotonicity_with_omega_slack():
