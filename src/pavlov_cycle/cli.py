@@ -118,6 +118,8 @@ def _init_to_str(init: InitConfig) -> str:
 def cmd_simulate(args: argparse.Namespace) -> int:
     if args.trace_every < 1:
         raise UsageError(f"--trace-every must be >= 1, got {args.trace_every}")
+    if args.max_steps < 1:
+        raise UsageError(f"--max-steps must be >= 1, got {args.max_steps}")
     strategy = Strategy(StrategyKind(args.strategy), args.p)
     init = _parse_init(args.init)
     _echo_config(args)

@@ -283,58 +283,58 @@ def advance(state: CycleState, strategy: Strategy, step_budget: int) -> Outcome 
     Returns the absorbing outcome reached (all-plus always terminates; at
     p = 0 all-minus does too) or None if the budget ran out first.  The state
     is mutated in place and consumes randomness exactly as repeated step()
-    calls would.
+    calls would, so a budget <= 0 or an absorbed state draws nothing.
+    Absorption is tested before the loop and then only where minus_count
+    changes: all-plus after a (-,-) edge fully cooperates, all-minus after
+    a defection.
     """
-    n = state.n
     p = strategy.p
-    srp = strategy.kind is StrategyKind.SRP
-    minus_absorbing = p == 0.0
-    states = state.states
+    n = state.n
+    # minus_count reaches this only when all-minus absorbs, i.e. only at p = 0
+    all_minus = n if p == 0.0 else n + 1
     mc = state.minus_count
-    steps = state.step_count
-    limit = steps + step_budget
-    next_edge = state._edges.__next__
+    if mc == 0:
+        return Outcome.ALL_PLUS
+    if mc == all_minus:
+        return Outcome.ALL_MINUS
+    srp = strategy.kind is StrategyKind.SRP
+    states = state.states
+    last = n - 1
     next_uniform = state._uniforms.__next__
     outcome: Outcome | None = None
-
-    while True:
-        if mc == 0:
-            outcome = Outcome.ALL_PLUS
-            break
-        if minus_absorbing and mc == n:
-            outcome = Outcome.ALL_MINUS
-            break
-        if steps >= limit:
-            break
-        i = next_edge()
-        j = i + 1
-        if j == n:
-            j = 0
-        a = states[i]
-        if a == 1:
-            if states[j] == -1:
-                states[i] = -1
-                mc += 1
-        elif states[j] == 1:
-            states[j] = -1
-            mc += 1
-        else:
-            # (-,-) edge: consume uniforms in the documented order
-            u1 = next_uniform()
-            if srp:
-                if u1 < p:
-                    states[i] = 1
-                    states[j] = 1
-                    mc -= 2
-            else:
-                u2 = next_uniform()
-                if u1 < p:
-                    states[i] = 1
-                    mc -= 1
-                if u2 < p:
-                    states[j] = 1
-                    mc -= 1
+    steps = state.step_count
+    for i in itertools.islice(state._edges, max(step_budget, 0)):
         steps += 1
+        j = 0 if i == last else i + 1
+        a = states[i]
+        if a != states[j]:  # mixed edge: the cooperator defects
+            states[i] = states[j] = -1
+            mc += 1
+            if mc == all_minus:
+                outcome = Outcome.ALL_MINUS
+                break
+        elif a == 1:  # (+,+) edge: a null pick
+            continue
+        # (-,-) edge: consume uniforms in the documented order
+        elif srp:
+            if next_uniform() < p:
+                states[i] = states[j] = 1
+                mc -= 2
+                if mc == 0:
+                    outcome = Outcome.ALL_PLUS
+                    break
+        elif next_uniform() < p:
+            states[i] = 1
+            mc -= 1
+            if next_uniform() < p:
+                states[j] = 1
+                mc -= 1
+                if mc == 0:
+                    outcome = Outcome.ALL_PLUS
+                    break
+        elif next_uniform() < p:
+            states[j] = 1
+            mc -= 1
 
     state.minus_count = mc
     state.step_count = steps

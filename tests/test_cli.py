@@ -201,6 +201,20 @@ def test_simulate_rejects_trace_every_below_1(tmp_path, every):
     assert not trace.exists()
 
 
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_simulate_rejects_max_steps_below_1(capsys, tmp_path, cap):
+    # run_until_absorbed and sweep configs reject a cap below 1 too; simulate
+    # used to print "outcome=capped steps=0" and exit 0.
+    trace = tmp_path / "trace.csv"
+    code, out, err = run_cli(
+        capsys, "simulate", "--n", "20", "--p", "0.9", "--max-steps", cap, "--trace", str(trace), "--quiet"
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "--max-steps must be >= 1" in err
+    assert not trace.exists()
+
+
 def test_config_echo_on_stderr(capsys):
     code, _, err = run_cli(capsys, "simulate", "--n", "10", "--init", "all-cooperate")
     assert code == 0

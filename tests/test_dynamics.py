@@ -233,23 +233,56 @@ def test_three_cycle_single_defector_enumeration():
     assert seen == reachable
 
 
-def test_step_matches_advance_trajectories():
-    for kind, p in [
-        (StrategyKind.RP, 0.37),
-        (StrategyKind.SRP, 0.37),
-        (StrategyKind.RP, 0.0),
-        (StrategyKind.PAVLOV, 1.0),
-    ]:
-        strat = Strategy(kind, p)
-        a = new_state(23, AllDefect(), 99)
-        b = new_state(23, AllDefect(), 99)
-        advance(a, strat, 4000)
-        while b.step_count < 4000:
-            if b.minus_count == 0 or (p == 0.0 and b.minus_count == 23):
-                break
-            step(b, strat)
-        assert a.states == b.states
-        assert a.step_count == b.step_count
+def _absorbed(state, strat):
+    """The outcome advance reports for a state it cannot move: all-plus, or all-minus at p = 0."""
+    if state.minus_count == 0:
+        return Outcome.ALL_PLUS
+    if strat.p == 0.0 and state.minus_count == state.n:
+        return Outcome.ALL_MINUS
+    return None
+
+
+def _step_until_absorbed(state, strat, budget):
+    """step() at most ``budget`` times, stopping where advance stops; its outcome."""
+    for _ in range(budget):
+        if _absorbed(state, strat):
+            break
+        step(state, strat)
+    return _absorbed(state, strat)
+
+
+TRAJECTORY_STARTS = {
+    "all-defect": (23, AllDefect()),  # already absorbed at p = 0
+    "all-cooperate": (23, AllCooperate()),  # already absorbed for every strategy
+    "bernoulli": (12, Bernoulli(0.5)),  # absorbs within 5617 steps for every strategy below
+}
+
+
+@pytest.mark.parametrize(
+    "start, budget",
+    [(start, budget) for start in TRAJECTORY_STARTS for budget in (0, -1, 1, 4000)]
+    + [("bernoulli", "absorbing"), ("bernoulli", "past")],
+)
+@pytest.mark.parametrize(
+    "strat",
+    [Strategy.rp(0.37), Strategy.srp(0.37), Strategy.pavlov(), Strategy.rp(0.0), Strategy.srp(0.0)],
+    ids=["rp", "srp", "pavlov", "rp-p0", "srp-p0"],
+)
+def test_step_matches_advance_trajectories(strat, start, budget):
+    # advance must stop exactly where a step() replay stops, with the same
+    # outcome, and must draw nothing more: the next value of each stream agrees.
+    n, init = TRAJECTORY_STARTS[start]
+    if budget in ("absorbing", "past"):
+        probe = new_state(n, init, 99)
+        assert _step_until_absorbed(probe, strat, 10**5) is not None
+        budget = probe.step_count + (budget == "past")
+    a = new_state(n, init, 99)
+    b = new_state(n, init, 99)
+    outcome = advance(a, strat, budget)
+    assert outcome is _step_until_absorbed(b, strat, budget)
+    assert (a.states, a.step_count, a.minus_count) == (b.states, b.step_count, b.minus_count)
+    assert next(a._edges) == next(b._edges)
+    assert next(a._uniforms) == next(b._uniforms)
 
 
 def _contract_replay(n, q, strategy, seed, steps):
