@@ -19,6 +19,7 @@ import json
 import math
 import os
 import sys
+from typing import TextIO
 
 from . import __version__
 from .charts import render_phase_charts
@@ -38,6 +39,7 @@ from .dynamics import (
 from .experiments import (
     SweepConfig,
     atomic_write_text,
+    atomic_writer,
     defect_time_experiment,
     defect_time_variance,
     emit_csv,
@@ -125,25 +127,25 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     _echo_config(args)
     state = new_state(args.n, init, args.seed)
     if args.trace:
-        rows = ["step,minus_count,coop_fraction,minus_runs,plus_runs,longest_minus,longest_plus"]
-
-        def snapshot() -> None:
+        # Each row goes to disk as it is made, so memory does not grow with the run.
+        def snapshot(out: TextIO) -> None:
             runs = runs_of(state.states)
             lm = max((ln for _, ln in runs.minus_runs), default=0)
             lp = max((ln for _, ln in runs.plus_runs), default=0)
-            rows.append(
+            out.write(
                 f"{state.step_count},{state.minus_count},{state.cooperator_fraction()!r},"
-                f"{len(runs.minus_runs)},{len(runs.plus_runs)},{lm},{lp}"
+                f"{len(runs.minus_runs)},{len(runs.plus_runs)},{lm},{lp}\n"
             )
 
-        snapshot()
-        outcome = None
-        while outcome is None and state.step_count < args.max_steps:
-            budget = min(args.trace_every, args.max_steps - state.step_count)
-            outcome = advance(state, strategy, budget)
-            snapshot()
+        with atomic_writer(args.trace) as out:
+            out.write("step,minus_count,coop_fraction,minus_runs,plus_runs,longest_minus,longest_plus\n")
+            snapshot(out)
+            outcome = None
+            while outcome is None and state.step_count < args.max_steps:
+                budget = min(args.trace_every, args.max_steps - state.step_count)
+                outcome = advance(state, strategy, budget)
+                snapshot(out)
         outcome = outcome or Outcome.CAPPED
-        atomic_write_text(args.trace, "\n".join(rows) + "\n")
     else:
         outcome = advance(state, strategy, args.max_steps) or Outcome.CAPPED
     print(

@@ -25,6 +25,7 @@ u < p strictly, so p = 0 never cooperates and p = 1 always does.
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterator, Sequence
@@ -123,17 +124,19 @@ def _draws(
 ) -> Iterator:
     """One stream of the randomness contract, drawn ``_BUF`` values at a time.
 
+    Each refill stays a numpy array; iterating its memoryview converts one
+    value at a time to a plain ``int`` or ``float``, only when it is drawn.
     The stream's PCG64 generator is built on the first draw, so a state that
     never steps pays for no generator.  Its seed is built directly as the
     child ``seq.spawn(2)[stream]`` of a fresh ``seq``, so both streams share
     one ``seq`` and never spawn from it.
     """
 
-    def buffers() -> Iterator[list]:
+    def buffers() -> Iterator[memoryview]:
         child = np.random.SeedSequence(seq.entropy, spawn_key=(stream,))
         rng = np.random.Generator(np.random.PCG64(child))
         while True:
-            yield refill(rng).tolist()
+            yield memoryview(refill(rng))
 
     return itertools.chain.from_iterable(buffers())
 
@@ -165,6 +168,8 @@ def new_state(n: int, init: InitConfig, seed: int) -> CycleState:
     """Build a seeded state; identical (n, init, seed) give identical states."""
     if n < 3:
         raise ValueError(f"need n >= 3 players on the cycle, got {n}")
+    if n > sys.maxsize:  # a list of n entries could not even be indexed
+        raise ValueError(f"n = {n} does not fit an index-sized integer")
     if isinstance(init, AllDefect):
         states = [-1] * n
     elif isinstance(init, AllCooperate):

@@ -7,11 +7,13 @@ identical no matter how cells are ordered or spread across workers.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import statistics
 import tempfile
 from dataclasses import dataclass, field
+from typing import Iterator, TextIO
 
 from .dynamics import (
     AllDefect,
@@ -243,14 +245,19 @@ def defect_time_experiment(n: int, reps: int, master_seed: int) -> DefectTimeSta
 CSV_HEADER = "strategy,n,p,rep,seed,steps,outcome,coop_fraction"
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write via a temp file in the same directory, then rename into place."""
+@contextlib.contextmanager
+def atomic_writer(path: str) -> Iterator[TextIO]:
+    """A text handle on a temp file in path's directory, renamed to path on exit.
+
+    Text can be written as it is made.  If the body raises, the temp file is
+    removed and path is left as it was.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as handle:
-                handle.write(text)
+                yield handle
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):
@@ -258,6 +265,12 @@ def atomic_write_text(path: str, text: str) -> None:
             raise
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
+
+
+def atomic_write_text(path: str, text: str) -> None:
+    """Write text via a temp file in the same directory, then rename into place."""
+    with atomic_writer(path) as handle:
+        handle.write(text)
 
 
 def records_to_csv(records: list[SweepRecord]) -> str:

@@ -2,11 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 import pavlov_cycle
+from pavlov_cycle import cli
 from pavlov_cycle.cli import main
+from pavlov_cycle.dynamics import advance
 
 
 def run_cli(capsys, *argv):
@@ -213,6 +216,96 @@ def test_simulate_rejects_max_steps_below_1(capsys, tmp_path, cap):
     assert out == ""
     assert err.startswith("error:") and "--max-steps must be >= 1" in err
     assert not trace.exists()
+
+
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+
+
+@pytest.mark.parametrize(
+    "stored, argv",
+    [
+        (
+            "trace_rp_absorbed.csv",
+            ["--n", "12", "--p", "0.6", "--strategy", "rp", "--init", "bernoulli:0.5",
+             "--seed", "7", "--trace-every", "8"],
+        ),
+        (
+            "trace_srp_capped.csv",
+            ["--n", "12", "--p", "0.2", "--strategy", "srp", "--seed", "3",
+             "--trace-every", "9", "--max-steps", "60"],
+        ),
+    ],
+)
+def test_simulate_trace_matches_stored(capsys, tmp_path, stored, argv):
+    # The stored traces were written when every row was kept in memory and
+    # joined at the end; streaming the rows must not change a byte.
+    trace = tmp_path / "trace.csv"
+    code, _, _ = run_cli(capsys, "simulate", *argv, "--trace", str(trace), "--quiet")
+    assert code == 0
+    with open(os.path.join(DATA, stored), "rb") as handle:
+        assert trace.read_bytes() == handle.read()
+
+
+def test_simulate_trace_memory_does_not_grow_with_snapshots(capsys, tmp_path):
+    # The same run traced at every step and at every 10th: rows used to stay
+    # in a list until the run ended, and 10x the snapshots raised the peak by
+    # about 2.3 MB here.
+    trace = str(tmp_path / "trace.csv")
+
+    def peak(every):
+        tracemalloc.start()
+        try:
+            code, _, _ = run_cli(
+                capsys, "simulate", "--n", "100", "--p", "0.3", "--seed", "1", "--max-steps", "20000",
+                "--trace-every", str(every), "--trace", trace, "--quiet",
+            )
+            assert code == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1), peak(10)  # warm-up: first-call allocations are not the run's
+    sparse, dense = peak(10), peak(1)
+    assert len(open(trace).read().splitlines()) == 20002
+    assert dense - sparse < 200_000, (sparse, dense)
+
+
+def test_simulate_trace_leaves_no_file_when_run_raises(capsys, tmp_path, monkeypatch):
+    calls = []
+
+    def failing_advance(state, strategy, budget):
+        calls.append(budget)
+        if len(calls) == 3:
+            raise ValueError("run failed")
+        return advance(state, strategy, budget)
+
+    monkeypatch.setattr(cli, "advance", failing_advance)
+    trace = tmp_path / "trace.csv"
+    code, out, err = run_cli(
+        capsys, "simulate", "--n", "20", "--p", "0.3", "--trace", str(trace), "--trace-every", "5", "--quiet"
+    )
+    assert code == 1
+    assert out == "" and err.startswith("error: run failed")
+    assert os.listdir(tmp_path) == []  # neither the trace nor its temp file
+
+
+@pytest.mark.parametrize("command", ["simulate", "defect-time", "sweep"])
+def test_n_beyond_index_size_exits_1_without_traceback(tmp_path, command):
+    # 10^20 fits no index-sized integer, so new_state rejects it before it
+    # allocates anything; [-1] * n used to raise OverflowError with a traceback.
+    if command == "sweep":
+        config = tmp_path / "config.json"
+        config.write_text('{"n_list": [1e20], "p_list": [0.5], "reps": 1}')
+        argv = ["sweep", "--config", str(config), "--out-dir", str(tmp_path / "out")]
+    else:
+        argv = [command, "--n", str(10**20)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "pavlov_cycle.cli", *argv, "--quiet"],
+        capture_output=True, text=True, env=child_env(), timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:") and "index-sized" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_config_echo_on_stderr(capsys):

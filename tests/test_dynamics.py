@@ -65,6 +65,22 @@ def test_new_state_errors():
         new_state(3, Explicit((1, 0, 1)), 0)
     with pytest.raises(ValueError):
         new_state(5, AllCooperate(), -1)  # the seed is checked before any draw
+    # [-1] * n raised OverflowError, which the CLI printed as a traceback;
+    # 10^20 exceeds any index-sized integer, so nothing is allocated.
+    for init in (AllDefect(), AllCooperate(), SingleDefector(0), Bernoulli(0.5)):
+        with pytest.raises(ValueError, match="index-sized"):
+            new_state(10**20, init, 0)
+
+
+@pytest.mark.parametrize("n", [100, 10_000])
+def test_streams_hand_out_plain_python_numbers(n):
+    # numpy scalars would make every comparison in advance slow; the draws
+    # just past the first buffer come from a refill
+    s = new_state(n, AllDefect(), 5)
+    for stream, kind in ((s._edges, int), (s._uniforms, float)):
+        assert type(next(stream)) is kind
+        assert {type(v) for v in itertools.islice(stream, _BUF)} == {kind}
+        assert type(next(stream)) is kind
 
 
 def test_strategy_validation():
