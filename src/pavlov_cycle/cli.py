@@ -15,11 +15,13 @@ with identical arguments produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
+import shutil
 import sys
-from typing import TextIO
+from typing import Iterator, TextIO
 
 from . import __version__
 from .charts import render_phase_charts
@@ -180,6 +182,25 @@ def _config_text(key: str, value: object) -> str:
     return value
 
 
+@contextlib.contextmanager
+def _output_dir(path: str) -> Iterator[None]:
+    """Create path and its missing parents; if the body fails, remove what was created.
+
+    A directory that already existed is never removed.
+    """
+    created = None
+    head = os.path.abspath(path)
+    while not os.path.lexists(head):
+        created, head = head, os.path.dirname(head)
+    os.makedirs(path, exist_ok=True)
+    try:
+        yield
+    except BaseException:
+        if created is not None:
+            shutil.rmtree(created, ignore_errors=True)
+        raise
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     with open(args.config) as handle:
         raw = json.load(handle)
@@ -212,18 +233,18 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         "threads": args.threads,
     }
     _echo_config(args, resolved)
-    os.makedirs(args.out_dir, exist_ok=True)
-    records = run_sweep(config, workers=args.threads)
-    cells = phase_summary(records)
-    emit_csv(records, os.path.join(args.out_dir, "records.csv"))
-    atomic_write_text(os.path.join(args.out_dir, "summary.csv"), summary_to_csv(cells))
-    render_phase_charts(cells, os.path.join(args.out_dir, "charts.svg"))
-    sidecar = dict(resolved)
-    del sidecar["command"], sidecar["threads"]
-    atomic_write_text(
-        os.path.join(args.out_dir, "resolved_config.json"),
-        json.dumps(sidecar, sort_keys=True, indent=2) + "\n",
-    )
+    with _output_dir(args.out_dir):
+        records = run_sweep(config, workers=args.threads)
+        cells = phase_summary(records)
+        emit_csv(records, os.path.join(args.out_dir, "records.csv"))
+        atomic_write_text(os.path.join(args.out_dir, "summary.csv"), summary_to_csv(cells))
+        render_phase_charts(cells, os.path.join(args.out_dir, "charts.svg"))
+        sidecar = dict(resolved)
+        del sidecar["command"], sidecar["threads"]
+        atomic_write_text(
+            os.path.join(args.out_dir, "resolved_config.json"),
+            json.dumps(sidecar, sort_keys=True, indent=2) + "\n",
+        )
     print(f"wrote {len(records)} records to {args.out_dir}")
     return 0
 

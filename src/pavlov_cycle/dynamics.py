@@ -25,6 +25,7 @@ u < p strictly, so p = 0 never cooperates and p = 1 always does.
 from __future__ import annotations
 
 import itertools
+import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
@@ -203,24 +204,31 @@ def new_state(n: int, init: InitConfig, seed: int) -> CycleState:
 # single-edge update
 
 
+def uniforms_drawn(left: int, right: int, strategy: Strategy) -> int:
+    """Uniforms one update of the pair draws under the randomness contract.
+
+    Zero unless both endpoints defect; then one under srp and two under
+    rp/pavlov, left endpoint first.
+    """
+    if left == 1 or right == 1:
+        return 0
+    return 1 if strategy.kind is StrategyKind.SRP else 2
+
+
 def edge_transition(
-    left: int, right: int, strategy: Strategy, u1: float, u2: float
+    left: int, right: int, strategy: Strategy, *uniforms: float
 ) -> tuple[int, int]:
     """New (left, right) pair after the edge plays one round.
 
-    Pure function: all randomness enters through the uniforms u1, u2.  Only a
-    (-,-) pair reads them; srp reads u1 alone.
+    Pure function: all randomness enters through the uniforms, of which it
+    reads the first uniforms_drawn(left, right, strategy) and ignores the rest.
     """
-    if left == 1:
-        if right == 1:
-            return (1, 1)
-        return (-1, -1)
-    if right == 1:
-        return (-1, -1)
+    if left == 1 or right == 1:
+        return (1, 1) if left == right else (-1, -1)
     p = strategy.p
     if strategy.kind is StrategyKind.SRP:
-        return (1, 1) if u1 < p else (-1, -1)
-    return (1 if u1 < p else -1, 1 if u2 < p else -1)
+        return (1, 1) if uniforms[0] < p else (-1, -1)
+    return (1 if uniforms[0] < p else -1, 1 if uniforms[1] < p else -1)
 
 
 def transition_branches(
@@ -228,24 +236,20 @@ def transition_branches(
 ) -> list[tuple[tuple[int, int], float]]:
     """Every (new_pair, probability) the edge can move to in one round.
 
-    The distribution edge_transition samples when its uniforms are drawn
-    as the randomness contract says.  A (-,-) pair lists all of its
-    branches, zero-probability ones included, so the list's shape depends
-    only on the strategy kind.
+    Enumerates edge_transition with each drawn uniform either below p
+    (weight p) or not (weight 1 - p), the stand-ins -1.0 and 1.0 deciding
+    u < p alike for every p in [0, 1]; weights multiply in draw order.  A
+    (-,-) pair lists all of its branches, zero-probability ones included, so
+    the list's shape depends only on the strategy kind.
     """
-    left, right = pair
-    if left == 1 and right == 1:
-        return [((1, 1), 1.0)]
-    if left == 1 or right == 1:
-        return [((-1, -1), 1.0)]
     p = strategy.p
-    if strategy.kind is StrategyKind.SRP:
-        return [((1, 1), p), ((-1, -1), 1.0 - p)]
+    outcomes = ((-1.0, p), (1.0, 1.0 - p))  # (stand-in uniform, its weight)
     return [
-        ((1, 1), p * p),
-        ((1, -1), p * (1.0 - p)),
-        ((-1, 1), (1.0 - p) * p),
-        ((-1, -1), (1.0 - p) * (1.0 - p)),
+        (
+            edge_transition(*pair, strategy, *(u for u, _ in draws)),
+            math.prod((weight for _, weight in draws), start=1.0),
+        )
+        for draws in itertools.product(outcomes, repeat=uniforms_drawn(*pair, strategy))
     ]
 
 
@@ -266,12 +270,8 @@ def step(state: CycleState, strategy: Strategy) -> StepOutcome:
     states = state.states
     a = states[i]
     b = states[j]
-    if a == -1 and b == -1:
-        u1 = next(state._uniforms)
-        u2 = u1 if strategy.kind is StrategyKind.SRP else next(state._uniforms)
-        na, nb = edge_transition(a, b, strategy, u1, u2)
-    else:
-        na, nb = edge_transition(a, b, strategy, 0.0, 0.0)
+    uniforms = itertools.islice(state._uniforms, uniforms_drawn(a, b, strategy))
+    na, nb = edge_transition(a, b, strategy, *uniforms)
     if na != a:
         states[i] = na
         state.minus_count += (a - na) // 2

@@ -90,7 +90,7 @@ class SweepRecord:
     coop_fraction: float
 
 
-def _run_block(args) -> tuple[tuple[int, int, int], list[SweepRecord]]:
+def _run_block(args) -> list[SweepRecord]:
     config, n_idx, p_idx, rep_lo, rep_hi = args
     n = config.n_list[n_idx]
     p = config.p_list[p_idx]
@@ -111,7 +111,7 @@ def _run_block(args) -> tuple[tuple[int, int, int], list[SweepRecord]]:
                 coop_fraction=res.cooperator_fraction,
             )
         )
-    return (n_idx, p_idx, rep_lo), out
+    return out
 
 
 def run_sweep(config: SweepConfig, workers: int = 1) -> list[SweepRecord]:
@@ -119,7 +119,7 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> list[SweepRecord]:
 
     workers > 1 spreads blocks of reps over a process pool; the output is
     identical to the serial run because every rep owns a derived seed and
-    blocks are reassembled by index, not completion order.
+    pool.map, like the serial loop, returns blocks in submission order.
     """
     blocks = []
     block_size = max(1, config.reps // max(1, 4 * workers))
@@ -139,8 +139,7 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> list[SweepRecord]:
 
         with ProcessPoolExecutor(max_workers=processes) as pool:
             results = list(pool.map(_run_block, blocks, chunksize=1))
-    results.sort(key=lambda kv: kv[0])
-    return [rec for _, block in results for rec in block]
+    return [rec for block in results for rec in block]
 
 
 # ---------------------------------------------------------------------------

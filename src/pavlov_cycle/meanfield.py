@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -223,39 +224,6 @@ class EigenCheck:
     max_deviation: float
 
 
-def _real_cubic_roots(a2: float, a1: float, a0: float) -> list[float]:
-    """Real roots of x^3 + a2 x^2 + a1 x + a0 with three real solutions.
-
-    Trigonometric form, then one Newton polish per root.  Raises RegimeError
-    when the discriminant indicates complex roots.
-    """
-    q = a1 / 3.0 - a2 * a2 / 9.0
-    r = (a1 * a2 - 3.0 * a0) / 6.0 - a2**3 / 27.0
-    disc = q**3 + r * r
-    if disc >= 0.0 or q >= 0.0:
-        raise RegimeError(
-            f"cubic x^3 + {a2}x^2 + {a1}x + {a0} does not have three distinct real roots"
-        )
-    theta = math.acos(max(-1.0, min(1.0, r / math.sqrt(-(q**3)))))
-    m = 2.0 * math.sqrt(-q)
-    roots = [m * math.cos((theta + 2.0 * math.pi * k) / 3.0) - a2 / 3.0 for k in range(3)]
-
-    def poly(x: float) -> float:
-        return ((x + a2) * x + a1) * x + a0
-
-    def dpoly(x: float) -> float:
-        return (3.0 * x + 2.0 * a2) * x + a1
-
-    polished = []
-    for x in roots:
-        for _ in range(3):
-            d = dpoly(x)
-            if d != 0.0:
-                x -= poly(x) / d
-        polished.append(x)
-    return sorted(polished)
-
-
 def eigenvalue_check(p: float) -> EigenCheck:
     """Numeric roots of the short-run characteristic cubic vs their series.
 
@@ -269,14 +237,24 @@ def eigenvalue_check(p: float) -> EigenCheck:
 
     The next terms, which the series drop, are +953/64 p^{5/2} and
     -953/64 p^{5/2} for the fast pair (in the order above) and 72 p^3 for the
-    slow root, so the remainders are O(p^{5/2}) and O(p^3).
+    slow root, so the remainders are O(p^{5/2}) and O(p^3).  The numeric
+    roots come from numpy.roots; RegimeError when the cubic's float
+    coefficients do not give three distinct real roots.
     """
     if not 0.0 < p < 0.1:
         raise RegimeError(f"eigenvalue series applies for 0 < p < 0.1, got {p}")
     a2 = 5.0 + 5.0 * p - 2.0 * p * p
     a1 = 8.0 + 14.0 * p - 2.0 * p * p
     a0 = 4.0 + 12.0 * p - 20.0 * p * p + 28.0 * p**3 - 8.0 * p**4
-    numeric = _real_cubic_roots(a2, a1, a0)
+    # Exact discriminant of the float cubic: positive iff its roots are real and distinct.
+    b2, b1, b0 = map(Fraction, (a2, a1, a0))
+    disc = (b2 * b1) ** 2 - 4 * b1**3 - 4 * b2**3 * b0 + 18 * b2 * b1 * b0 - 27 * b0 * b0
+    roots = np.roots([1.0, a2, a1, a0])
+    if disc <= 0 or roots.imag.any():
+        raise RegimeError(
+            f"cubic x^3 + {a2}x^2 + {a1}x + {a0} does not have three distinct real roots"
+        )
+    numeric = sorted(roots.real.tolist())
     if any(x >= 0.0 for x in numeric):
         raise RegimeError(f"expected negative roots at p = {p}, got {numeric}")
     sp = math.sqrt(p)

@@ -278,6 +278,7 @@ def phase_records():
     return run_sweep(high, workers=WORKERS), run_sweep(low, workers=WORKERS)
 
 
+@pytest.mark.slow
 def test_criterion_9_phase_transition(phase_records):
     t0 = time.perf_counter()
     high_records, low_records = phase_records
@@ -310,6 +311,7 @@ def test_criterion_9_phase_transition(phase_records):
     )
 
 
+@pytest.mark.slow
 def test_criterion_10_byte_identical_reruns(phase_records):
     t0 = time.perf_counter()
     high, low = _phase_configs()

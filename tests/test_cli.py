@@ -410,6 +410,28 @@ def test_sweep_missing_config_file(capsys, tmp_path):
     assert code == 1
 
 
+def test_failed_sweep_removes_the_directories_it_created(capsys, tmp_path):
+    # n = 10^20 fails in new_state, after the output directory was made.
+    cfg = _write_config(tmp_path, n_list=[1e20])
+    code, out, err = run_cli(capsys, "sweep", "--config", cfg, "--out-dir", str(tmp_path / "a" / "b"), "--quiet")
+    assert code == 1 and out == "" and err.startswith("error:")
+    assert sorted(os.listdir(tmp_path)) == ["config.json"]
+
+
+def test_failed_sweep_keeps_an_existing_directory(capsys, tmp_path):
+    cfg = _write_config(tmp_path, n_list=[1e20])
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    (out_dir / "records.csv").write_text("earlier run\n")
+    code, _, err = run_cli(capsys, "sweep", "--config", cfg, "--out-dir", str(out_dir / "new"), "--quiet")
+    assert code == 1 and err.startswith("error:")
+    assert os.listdir(out_dir) == ["records.csv"]
+    code, _, err = run_cli(capsys, "sweep", "--config", cfg, "--out-dir", str(out_dir), "--quiet")
+    assert code == 1 and err.startswith("error:")
+    assert os.listdir(out_dir) == ["records.csv"]
+    assert (out_dir / "records.csv").read_text() == "earlier run\n"
+
+
 @pytest.mark.parametrize(
     "raw",
     [

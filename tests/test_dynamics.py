@@ -22,6 +22,7 @@ from pavlov_cycle.dynamics import (
     runs_of,
     step,
     transition_branches,
+    uniforms_drawn,
 )
 from pavlov_cycle.dynamics import _BUF
 
@@ -157,6 +158,59 @@ def test_transition_branches_match_edge_transition(strat):
                 counts[edge_transition(*pair, strat, u1, u2)] += 1
         for new, prob in branches:
             assert counts[new] / 64 == pytest.approx(prob, abs=1e-15), (pair, new)
+
+
+@pytest.mark.parametrize(
+    "strat",
+    [make(p) for make in (Strategy.rp, Strategy.srp) for p in (0.0, 0.3, 0.87, 1.0 - 2.0**-53, 1.0)]
+    + [Strategy.pavlov()],
+    ids=lambda s: f"{s.kind.value}-{s.p!r}",
+)
+def test_transition_branches_bit_for_bit(strat):
+    # The enumeration of edge_transition must give exactly the floats of the
+    # closed-form table, weights multiplied in draw order.
+    p = strat.p
+    if strat.kind is StrategyKind.SRP:
+        mm = [((1, 1), p), ((-1, -1), 1.0 - p)]
+    else:
+        mm = [
+            ((1, 1), p * p),
+            ((1, -1), p * (1.0 - p)),
+            ((-1, 1), (1.0 - p) * p),
+            ((-1, -1), (1.0 - p) * (1.0 - p)),
+        ]
+    expected = {
+        (1, 1): [((1, 1), 1.0)],
+        (1, -1): [((-1, -1), 1.0)],
+        (-1, 1): [((-1, -1), 1.0)],
+        (-1, -1): mm,
+    }
+    for pair, branches in expected.items():
+        got = transition_branches(pair, strat)
+        assert [(new, prob.hex()) for new, prob in got] == [
+            (new, prob.hex()) for new, prob in branches
+        ], pair
+
+
+@pytest.mark.parametrize(
+    "strat", [Strategy.rp(0.37), Strategy.srp(0.37), Strategy.pavlov()], ids=["rp", "srp", "pavlov"]
+)
+@pytest.mark.parametrize(
+    "states",
+    [(-1, -1, -1), (1, -1, 1, -1), (1, 1, 1)],  # every edge (-,-), mixed, (+,+)
+    ids=["minus-minus", "mixed", "plus-plus"],
+)
+def test_step_draws_uniforms_drawn(strat, states):
+    # After one step the next uniform must be the one an independent replay
+    # of stream 1 puts right after the uniforms_drawn count.
+    seed = 11
+    replay = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed).spawn(2)[1]))
+    uniforms = replay.random(_BUF).tolist()
+    s = new_state(len(states), Explicit(states), seed)
+    out = step(s, strat)
+    drawn = uniforms_drawn(*out.old_pair, strat)
+    assert drawn == (0 if 1 in states else 1 if strat.kind is StrategyKind.SRP else 2)
+    assert next(s._uniforms) == uniforms[drawn]
 
 
 def test_rp_branch_frequencies():
