@@ -20,16 +20,19 @@ consumes n uniforms from stream 1 before the first step.  Each update of a
 (-,-) edge consumes two uniforms under rp/pavlov (left endpoint first) and
 one under srp; mixed and (+,+) edges consume none.  "Cooperate" means
 u < p strictly, so p = 0 never cooperates and p = 1 always does.
+The seed must be a non-negative integer.  It is checked when the state is
+built, and a stream builds its seed and generator only at its first draw.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -118,28 +121,21 @@ class Explicit:
 InitConfig = AllDefect | AllCooperate | SingleDefector | Bernoulli | Explicit
 
 
-def _draws(
-    seq: np.random.SeedSequence,
-    stream: int,
-    refill: Callable[[np.random.Generator], np.ndarray],
-) -> Iterator:
-    """One stream of the randomness contract, drawn ``_BUF`` values at a time.
+def _draws(seed: int, stream: int, n: int) -> Iterator[memoryview]:
+    """One stream of the randomness contract, as ``_BUF``-value refills.
 
-    Each refill stays a numpy array; iterating its memoryview converts one
-    value at a time to a plain ``int`` or ``float``, only when it is drawn.
-    The stream's PCG64 generator is built on the first draw, so a state that
-    never steps pays for no generator.  Its seed is built directly as the
-    child ``seq.spawn(2)[stream]`` of a fresh ``seq``, so both streams share
-    one ``seq`` and never spawn from it.
+    Stream 0 refills with edge indices in [0, n), stream 1 with uniforms.
+    The stream's seed and PCG64 generator are built at its first draw, so a
+    state that never steps pays for neither.  The seed is built directly as
+    the child ``SeedSequence(seed).spawn(2)[stream]``, never spawned from a
+    parent.  Each refill stays a numpy array; iterating its memoryview
+    converts one value at a time to a plain ``int`` or ``float``, only when
+    it is drawn.
     """
-
-    def buffers() -> Iterator[memoryview]:
-        child = np.random.SeedSequence(seq.entropy, spawn_key=(stream,))
-        rng = np.random.Generator(np.random.PCG64(child))
-        while True:
-            yield memoryview(refill(rng))
-
-    return itertools.chain.from_iterable(buffers())
+    child = np.random.SeedSequence(seed, spawn_key=(stream,))
+    rng = np.random.Generator(np.random.PCG64(child))
+    while True:
+        yield memoryview(rng.integers(0, n, size=_BUF) if stream == 0 else rng.random(_BUF))
 
 
 class CycleState:
@@ -157,9 +153,12 @@ class CycleState:
         self.states = states
         self.minus_count = states.count(-1)
         self.step_count = 0
-        seq = np.random.SeedSequence(seed)  # checks the seed at once
-        self._edges: Iterator[int] = _draws(seq, 0, lambda rng: rng.integers(0, n, size=_BUF))
-        self._uniforms: Iterator[float] = _draws(seq, 1, lambda rng: rng.random(_BUF))
+        seed = operator.index(seed)  # checked at once; the streams start lazily
+        if seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {seed}")
+        chain = itertools.chain.from_iterable
+        self._edges: Iterator[int] = chain(_draws(seed, 0, n))
+        self._uniforms: Iterator[float] = chain(_draws(seed, 1, n))
 
     def cooperator_fraction(self) -> float:
         return (self.n - self.minus_count) / self.n

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, islice
+from itertools import accumulate, chain, islice
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -251,7 +251,8 @@ class WeightTable:
         """w(0..n) as a fresh list for O(1) lookups."""
         return list(self._weights)
 
-    # Drift terms, computed on first use and kept for the table's lifetime.
+    # Drift terms and the constraint report, computed on first use and kept
+    # for the table's lifetime.
     # cached_property writes the instance __dict__ directly, which a frozen
     # dataclass allows; ==, hash and repr still see only the fields above.
 
@@ -261,11 +262,6 @@ class WeightTable:
         return head + tuple(self.slope * ell for ell in range(len(head), self.n + 1))
 
     @cached_property
-    def _prefix(self) -> tuple[float, ...]:
-        """prefix[k] = w[0] + ... + w[k-1]."""
-        return tuple(accumulate(self._weights, initial=0.0))
-
-    @cached_property
     def _splits(self) -> tuple[tuple[int, int, float], ...]:
         """(a, b, prob) for each (-,-) outcome that is not (-,-) again."""
         return tuple(
@@ -273,6 +269,29 @@ class WeightTable:
             for (na, nb), prob in transition_branches((-1, -1), Strategy(self.kind, self.p))
             if (na, nb) != (-1, -1)
         )
+
+    @cached_property
+    def _split_terms(self) -> tuple[tuple[float, ...], ...]:
+        """Per run length L < n, each (-,-) outcome's summed weight change.
+
+        Entry L holds prob * (prefix[L-1+a] + prefix[L-1+b] - (L-1) * w[L])
+        for each (a, b, prob) of _splits, in order, with prefix[k] = w[0] +
+        ... + w[k-1]; entry 0 is empty.
+        """
+        w = self._weights
+        prefix = tuple(accumulate(w, initial=0.0))
+        splits = self._splits
+        return ((),) + tuple(
+            tuple(
+                prob * (prefix[length - 1 + a] + prefix[length - 1 + b] - (length - 1) * w[length])
+                for a, b, prob in splits
+            )
+            for length in range(1, self.n)
+        )
+
+    @cached_property
+    def _constraints(self) -> ConstraintReport:
+        return _evaluate_constraints(self)
 
     def potential(self, states: Sequence[int]) -> float:
         return sum(self.weight(length) for _, length in runs_of(states).minus_runs)
@@ -350,7 +369,14 @@ class ConstraintReport:
 
 
 def check_constraints(table: WeightTable) -> ConstraintReport:
-    """Evaluate every certificate inequality numerically at the table's p, omega, n."""
+    """Evaluate every certificate inequality numerically at the table's p, omega, n.
+
+    The report is computed once per table and handed out again on later calls.
+    """
+    return table._constraints
+
+
+def _evaluate_constraints(table: WeightTable) -> ConstraintReport:
     p = table.p
     omega = table.omega
     n = table.n
@@ -422,7 +448,8 @@ def one_step_drift(state: CycleState, table: WeightTable) -> DriftReport:
       x + a and L - 2 - x + b, where a (b) is 1 when the left (right)
       endpoint stays a defector.  Summed over x = 0..L-2 the new weights
       are prefix[L - 1 + a] + prefix[L - 1 + b], with prefix[k] = w[0] +
-      ... + w[k-1], so a run costs O(1);
+      ... + w[k-1], so a run costs O(1): the table keeps these terms per
+      length L, and the sum reads them in run order;
     * a mixed edge adds its cooperator to the run it faces (L -> L + 1).
       When that cooperator stands alone it merges the runs on both sides
       (LQ, LR -> LQ + 1 + LR), and when it is the last one the whole cycle
@@ -443,16 +470,11 @@ def one_step_drift(state: CycleState, table: WeightTable) -> DriftReport:
     if not minus:
         return DriftReport(0.0, 0.0, 0.0, True)
     w0 = sum(w[length] for length in minus)
-    splits = table._splits
     if runs.is_all_minus:
-        change = n * sum(prob * (w[n - 2 + a + b] - w[n]) for a, b, prob in splits)
+        change = n * sum(prob * (w[n - 2 + a + b] - w[n]) for a, b, prob in table._splits)
     else:
-        prefix = table._prefix
-        change = sum(
-            prob * (prefix[length - 1 + a] + prefix[length - 1 + b] - (length - 1) * w[length])
-            for length in minus
-            for a, b, prob in splits
-        )
+        terms = table._split_terms
+        change = sum(chain.from_iterable(terms[length] for length in minus))
         # Runs alternate around the cycle; pair each cooperator run with the
         # defector runs on its left and right.
         m = len(minus)

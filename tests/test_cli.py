@@ -10,6 +10,7 @@ import pavlov_cycle
 from pavlov_cycle import cli
 from pavlov_cycle.cli import main
 from pavlov_cycle.dynamics import advance
+from pavlov_cycle.weights import MARGIN_TOL
 
 
 def run_cli(capsys, *argv):
@@ -143,6 +144,22 @@ def test_weights_srp_near_its_threshold(capsys):
     assert "feasible=True" in out
 
 
+@pytest.mark.parametrize(
+    "strategy, p",
+    [("rp", "0.87"), ("rp", "0.871"), ("rp", "0.9"), ("rp", "0.95"), ("rp", "1"),
+     ("srp", "0.70"), ("srp", "0.8"), ("srp", "0.95"), ("pavlov", "1")],
+)
+def test_weights_feasible_only_within_margin_tolerance(capsys, strategy, p):
+    # feasible=True may print a slightly negative worst_margin (rp 0.95 gives
+    # -7.1e-15): a margin counts as satisfied down to -MARGIN_TOL = -1e-9
+    assert MARGIN_TOL == 1e-9
+    code, out, _ = run_cli(capsys, "weights", "--p", p, "--strategy", strategy, "--quiet")
+    fields = dict(item.split("=") for item in out.split())
+    worst = float(fields["worst_margin"])
+    assert fields["feasible"] == ("True" if worst >= -1e-9 else "False")
+    assert code == (0 if fields["feasible"] == "True" else 2)
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -153,6 +170,13 @@ def test_simulate_already_absorbed(capsys):
     )
     assert code == 0
     assert "outcome=all_plus steps=0" in out
+
+
+def test_simulate_rejects_a_negative_seed(capsys):
+    code, out, err = run_cli(capsys, "simulate", "--n", "10", "--seed", "-1", "--quiet")
+    assert code == 1
+    assert out == ""
+    assert err == "error: seed must be a non-negative integer, got -1\n"
 
 
 def test_simulate_deterministic(capsys):

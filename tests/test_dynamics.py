@@ -25,6 +25,7 @@ from pavlov_cycle.dynamics import (
     uniforms_drawn,
 )
 from pavlov_cycle.dynamics import _BUF
+from pavlov_cycle.weights import build_weight_table, one_step_drift
 
 
 # ---------------------------------------------------------------------------
@@ -71,6 +72,50 @@ def test_new_state_errors():
     for init in (AllDefect(), AllCooperate(), SingleDefector(0), Bernoulli(0.5)):
         with pytest.raises(ValueError, match="index-sized"):
             new_state(10**20, init, 0)
+
+
+@pytest.mark.parametrize("seed", [1.5, None, "3", [1, 2]])
+def test_new_state_rejects_a_seed_that_is_not_an_integer(seed):
+    # SeedSequence would take None as "fresh OS entropy", a run no one can
+    # repeat; a negative seed is rejected in test_new_state_errors
+    with pytest.raises(TypeError):
+        new_state(5, AllCooperate(), seed)
+
+
+def _replay_streams(seed, n, count):
+    """First count draws of each stream, straight from SeedSequence(seed).spawn(2)."""
+    children = np.random.SeedSequence(seed).spawn(2)
+    edges, uniforms = (np.random.Generator(np.random.PCG64(c)) for c in children)
+    refills = -(-count // _BUF)
+    return (
+        np.concatenate([edges.integers(0, n, size=_BUF) for _ in range(refills)])[:count].tolist(),
+        np.concatenate([uniforms.random(_BUF) for _ in range(refills)])[:count].tolist(),
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 7, np.int64(7), 2**64 - 1, 2**70])
+def test_streams_replay_the_spawned_seed_sequence(seed):
+    n, count = 37, _BUF + 5  # past the first refill of each stream
+    s = new_state(n, AllDefect(), seed)
+    got = (list(itertools.islice(s._edges, count)), list(itertools.islice(s._uniforms, count)))
+    assert got == _replay_streams(int(seed), n, count)
+
+
+def test_drift_oracle_builds_no_seed_sequence(monkeypatch):
+    real = np.random.SeedSequence
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "SeedSequence", counting)
+    table = build_weight_table("rp", 0.9, 1e-4, 10)
+    state = new_state(10, Explicit((-1, -1, 1, -1, 1, 1, -1, -1, -1, 1)), 3)
+    assert one_step_drift(state, table).satisfied
+    assert built == []
+    next(state._uniforms)  # the first draw of a stream builds its seed
+    assert built == [(3,)]
 
 
 @pytest.mark.parametrize("n", [100, 10_000])

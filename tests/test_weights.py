@@ -1,6 +1,8 @@
 import dataclasses
 import itertools
+import json
 import math
+import os
 import pickle
 
 import numpy as np
@@ -317,9 +319,11 @@ def test_cached_drift_terms_leave_table_identity_alone():
     used = build_weight_table("rp", 0.9, 1e-4, 12)
     state = new_state(12, Explicit((-1, -1, 1, -1, 1, 1, -1, -1, -1, 1, 1, -1)), 0)
     report = one_step_drift(state, used)  # fills the cached drift terms
+    check_constraints(used)  # and the cached constraint report
     assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
     restored = pickle.loads(pickle.dumps(used))
     assert restored == fresh and hash(restored) == hash(fresh)
+    assert check_constraints(restored) == check_constraints(fresh)
     assert one_step_drift(state, restored) == report == one_step_drift(state, fresh)
     smaller = dataclasses.replace(used, n=8)
     assert smaller == dataclasses.replace(fresh, n=8)
@@ -400,6 +404,27 @@ def test_merge_margin_equals_double_loop(n):
                 got = check_constraints(table).merge_margin
                 assert got == _merge_margin_double_loop(table), (kind, p, omega)
                 assert type(got) is float
+
+
+def test_constraint_report_computed_once_per_table(monkeypatch, tmp_path):
+    real = weights._evaluate_constraints
+    evaluated = []
+    monkeypatch.setattr(weights, "_evaluate_constraints", lambda t: evaluated.append(t) or real(t))
+    table = build_weight_table("rp", 0.9, 1e-4, 30)
+    report = check_constraints(table)
+    assert check_constraints(table) is report
+    rows = weight_table_rows(table)
+    weights.write_weight_table_csv(table, str(tmp_path / "table.csv"))
+    assert evaluated == [table]  # the CSV rows reuse the cached report
+    assert report == real(table)
+    assert [margin for *_, margin in rows] == [
+        report.singleton_margin,
+        *report.internal_margins,
+        report.nrun_margin,
+    ]
+    smaller = dataclasses.replace(table, n=20)  # a new table is checked afresh
+    assert check_constraints(smaller) == real(smaller) != report
+    assert len(evaluated) == 2
 
 
 def test_huge_omega_cannot_build():
@@ -533,17 +558,44 @@ def test_drift_all_defect_closed_form():
         assert got.expected_next == pytest.approx(want, rel=1e-12), (kind, p, omega)
 
 
-def test_drift_matches_brute_force_on_criterion_4_states():
-    # The 6000 random states of acceptance criterion 4: same seed, same draws.
+def _criterion_4_states():
+    """(index, n, p, states) of the 6000 random states of acceptance criterion 4."""
     rng = np.random.default_rng(20250808)
+    index = 0
     for n in (10, 20, 40):
         for p in (0.87, 0.9, 0.95, 1.0):
-            table = build_weight_table("rp", p, 1e-4, n)
             for _ in range(500):
                 sts = rng.choice([-1, 1], size=n).tolist()
                 while all(s == 1 for s in sts):
                     sts = rng.choice([-1, 1], size=n).tolist()
-                assert _assert_drift_matches(new_state(n, Explicit(tuple(sts)), 0), table).satisfied
+                yield index, n, p, sts
+                index += 1
+
+
+def test_drift_matches_brute_force_on_criterion_4_states():
+    tables = {}
+    for _, n, p, sts in _criterion_4_states():
+        if (n, p) not in tables:
+            tables[n, p] = build_weight_table("rp", p, 1e-4, n)
+        assert _assert_drift_matches(new_state(n, Explicit(tuple(sts)), 0), tables[n, p]).satisfied
+
+
+def test_drift_golden_pins_on_criterion_4_states():
+    # float.hex of every 300th criterion-4 report, frozen from the earlier
+    # per-branch summation: the cached split terms must be added in the same
+    # order, bit for bit
+    with open(os.path.join(os.path.dirname(__file__), "data", "drift_pins.json")) as fh:
+        pins = {pin["index"]: pin for pin in json.load(fh)}
+    assert len(pins) == 20
+    for index, n, p, sts in _criterion_4_states():
+        pin = pins.get(index)
+        if pin is None:
+            continue
+        assert (pin["n"], pin["p"]) == (n, p)
+        assert pin["states"] == "".join("-" if s == -1 else "+" for s in sts)
+        rep = one_step_drift(new_state(n, Explicit(tuple(sts)), 0), build_weight_table("rp", p, 1e-4, n))
+        got = (rep.state_potential.hex(), rep.expected_next.hex(), rep.bound.hex())
+        assert got == (pin["state_potential"], pin["expected_next"], pin["bound"]), index
 
 
 def test_drift_all_plus_degenerate():
