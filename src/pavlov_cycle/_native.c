@@ -3,8 +3,11 @@
  * Mirrors meanfield._integrate_numpy term for term: the right-hand side adds
  * its terms in the order rhs does, the stage points are P + (0.5 dt) k, and
  * the update is P + (dt/6)(((k1 + 2 k2) + 2 k3) + k4).  Only the convolution
- * sum may be accumulated in another order than numpy's, which moves P_3 and
- * beyond by rounding; P_0..P_2 never read it.
+ * sums are formed differently: conv_m = sum_{k=0}^{m} P_k P_{m-k} is
+ * symmetric in k and m - k, so it is summed over k < m - k in ascending k,
+ * doubled, and, for even m, given the middle square P_{m/2}^2 last.  That
+ * halves the multiply-adds and moves P_3 and beyond by rounding; P_0..P_2
+ * never read it.
  *
  * Built by _native.py with -O2 -ffp-contract=off and no -ffast-math, so no
  * multiply-add is fused and the IEEE operations are the ones written here.
@@ -27,34 +30,36 @@ static void rhs(const double *P, double p, long L, double *dP)
 
     dP[0] = -c0 * P[0] + P[1] + 1.0;
     dP[1] = -2.0 * P[1] + 2.0 * P[2] + c1 * P[0];
-    /* conv_l = sum_{k=0}^{l-2} P_k P_{l-2-k}, four l at a time: the shared
-     * k loop gives four independent chains, and the longer sums then take
-     * their last terms, so every sum still adds in ascending k. */
+    /* dP_l reads conv_{l-2}, four l at a time: the shared k loop gives four
+     * independent chains, and the longer half-sums then take their last
+     * terms, so every half-sum still adds in ascending k.  A block starts at
+     * l = 2j + 2, so its sums are conv_{2j} .. conv_{2j+3}. */
     long l = 2;
     for (; l + 3 <= L; l += 4) {
+        const long j = (l - 2) / 2;
         double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-        for (long k = 0; k <= l - 2; k++) {
+        for (long k = 0; k < j; k++) {
             const double a = P[k];
             s0 += a * P[l - 2 - k];
             s1 += a * P[l - 1 - k];
             s2 += a * P[l - k];
             s3 += a * P[l + 1 - k];
         }
-        s1 += P[l - 1] * P[0];
-        s2 += P[l - 1] * P[1];
-        s2 += P[l] * P[0];
-        s3 += P[l - 1] * P[2];
-        s3 += P[l] * P[1];
-        s3 += P[l + 1] * P[0];
-        dP[l] = term(P, l, L, c1, c2, s0);
-        dP[l + 1] = term(P, l + 1, L, c1, c2, s1);
-        dP[l + 2] = term(P, l + 2, L, c1, c2, s2);
-        dP[l + 3] = term(P, l + 3, L, c1, c2, s3);
+        s1 += P[j] * P[j + 1];
+        s2 += P[j] * P[j + 2];
+        s3 += P[j] * P[j + 3];
+        s3 += P[j + 1] * P[j + 2];
+        dP[l] = term(P, l, L, c1, c2, 2.0 * s0 + P[j] * P[j]);
+        dP[l + 1] = term(P, l + 1, L, c1, c2, 2.0 * s1);
+        dP[l + 2] = term(P, l + 2, L, c1, c2, 2.0 * s2 + P[j + 1] * P[j + 1]);
+        dP[l + 3] = term(P, l + 3, L, c1, c2, 2.0 * s3);
     }
     for (; l <= L; l++) {
-        double conv = 0.0;
-        for (long k = 0; k <= l - 2; k++)
-            conv += P[k] * P[l - 2 - k];
+        const long m = l - 2;
+        double half = 0.0;
+        for (long k = 0; 2 * k < m; k++)
+            half += P[k] * P[m - k];
+        const double conv = m % 2 ? 2.0 * half : 2.0 * half + P[m / 2] * P[m / 2];
         dP[l] = term(P, l, L, c1, c2, conv);
     }
 }

@@ -3,17 +3,17 @@
 load() compiles the source with the system C compiler on first use, caches
 the library in this package's __pycache__ under a name keyed by the sha256
 of the source and flags, and returns it.  It returns None whenever the
-library cannot be built or loaded; callers then take the numpy path.
+library cannot be built or loaded; callers then take the numpy path.  Only
+load() imports the build tools (hashlib, subprocess, numpy.ctypeslib), so a
+run that never integrates does not pay for them.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
-import hashlib
 import os
 import shutil
-import subprocess
 import tempfile
 
 import numpy as np
@@ -22,7 +22,6 @@ _HERE = os.path.dirname(os.path.abspath(__file__))
 _SOURCE = os.path.join(_HERE, "_native.c")
 # No -ffast-math or -march=native: the library must compute the same bytes on every machine.
 _FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
-_DOUBLES = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
 
 
 @functools.cache
@@ -31,6 +30,9 @@ def load() -> ctypes.CDLL | None:
     cc = shutil.which("cc")
     if cc is None:
         return None
+    import hashlib
+    import subprocess
+
     try:
         with open(_SOURCE, "rb") as handle:
             source = handle.read()
@@ -53,6 +55,7 @@ def load() -> ctypes.CDLL | None:
         return None
     # mf_rk4(p, dt, n_steps, stride, L, start, out, work)
     scalars = [ctypes.c_double, ctypes.c_double, ctypes.c_long, ctypes.c_long, ctypes.c_long]
-    lib.mf_rk4.argtypes = scalars + [_DOUBLES] * 3
+    doubles = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+    lib.mf_rk4.argtypes = scalars + [doubles] * 3
     lib.mf_rk4.restype = ctypes.c_long
     return lib

@@ -271,6 +271,8 @@ def cmd_weights(args: argparse.Namespace) -> int:
 
 
 def cmd_thresholds(args: argparse.Namespace) -> int:
+    if args.lmax < 1:
+        raise UsageError(f"--lmax must be >= 1, got {args.lmax}")
     _echo_config(args)
     check_tol(args.tol)  # before the header, so a rejected --tol prints nothing
     print("ell,root,bound")

@@ -112,7 +112,9 @@ def integrate(p: float, tau_end: float, config: OdeConfig | None = None) -> Traj
     finite or its samples would hold more than 2^27 values, and
     IntegrationDivergedError on non-finite values.  Runs the compiled
     kernel of _native.c when it can be built, else the numpy loop; the two
-    agree to rounding in the convolution sums.
+    agree to rounding in the convolution sums.  The kernel forms each
+    conv_m = sum_{k=0}^{m} P_k P_{m-k} from half its terms: the sum over
+    k < m - k in ascending k, doubled, plus P_{m/2}^2 when m is even.
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie in (0, 1), got {p}")

@@ -97,6 +97,15 @@ def test_thresholds_rejects_tol_before_its_header(capsys, tol):
     assert err.startswith("error: tol must be finite")
 
 
+@pytest.mark.parametrize("lmax", ["0", "-3"])
+def test_thresholds_rejects_lmax_below_1(capsys, lmax):
+    # Both used to print only the ell,root,bound header and exit 0.
+    code, out, err = run_cli(capsys, "thresholds", "--series", "h", "--lmax", lmax)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "--lmax must be >= 1" in err
+
+
 # ---------------------------------------------------------------------------
 # weights
 
@@ -622,3 +631,33 @@ def test_import_loads_no_process_pool():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "False"]
+
+
+# Runs one command in a child interpreter, then prints its exit code and
+# which of the modules named after the command are loaded.
+BUILD_TOOLS_CHILD = """
+import sys
+from pavlov_cycle import cli
+code = cli.main(sys.argv[1].split() + ["--quiet"])
+print(code, *(name for name in sys.argv[2:] if name in sys.modules))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, modules",
+    [
+        # numpy.random imports hashlib itself (through secrets), so a run that
+        # draws can leave out only the other two.
+        ("simulate --n 20 --p 0.9", ["subprocess", "numpy.ctypeslib"]),
+        ("thresholds --series f --lmax 2", ["hashlib", "subprocess", "numpy.ctypeslib"]),
+    ],
+    ids=["simulate", "thresholds"],
+)
+def test_runs_without_integrate_load_no_build_tools(argv, modules):
+    # Only _native.load() needs the build tools; hashlib loads libcrypto.
+    proc = subprocess.run(
+        [sys.executable, "-c", BUILD_TOOLS_CHILD, argv, *modules],
+        capture_output=True, text=True, env=child_env(), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0"

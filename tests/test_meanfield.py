@@ -1,5 +1,7 @@
 import math
+import os
 import shutil
+import subprocess
 
 import numpy as np
 import pytest
@@ -185,9 +187,13 @@ def _scalar_rk4_rows(start, p, dt, n_steps, L):
     def rhs_c(P):
         dP = [-c0 * P[0] + P[1] + 1.0, -2.0 * P[1] + 2.0 * P[2] + c1 * P[0]]
         for ell in range(2, L + 1):
-            conv = 0.0
-            for k in range(ell - 1):
-                conv += P[k] * P[ell - 2 - k]
+            m = ell - 2
+            half = 0.0
+            for k in range((m + 1) // 2):  # k < m - k, ascending
+                half += P[k] * P[m - k]
+            conv = 2.0 * half
+            if m % 2 == 0:
+                conv += P[m // 2] * P[m // 2]
             nxt = P[ell + 1] if ell < L else 0.0
             dP.append(-2.0 * P[ell] + 2.0 * nxt + c1 * P[ell - 1] * P[0] + c2 * conv)
         return dP
@@ -205,10 +211,13 @@ def _scalar_rk4_rows(start, p, dt, n_steps, L):
     return rows
 
 
-@pytest.mark.parametrize("L", [3, 4, 5, 7, 9])
+@pytest.mark.parametrize("L", [3, 4, 5, 6, 7, 9, 13])
 def test_kernel_is_the_scalar_transcription_bit_for_bit(L):
     # Pins every P_l, not just P_0..P_2: the kernel computes four convolution
-    # sums at a time, and each must still add its terms in ascending k.
+    # half-sums at a time, and each must still add its terms in ascending k,
+    # then double, then add the middle square when m is even.  The grid puts
+    # even and odd m in the one-at-a-time remainder after zero to three
+    # blocks of four.
     lib = _native.load()
     if lib is None:
         pytest.skip("no C compiler found, or the kernel could not be built or loaded")
@@ -242,6 +251,26 @@ def test_integrate_rejects_unbounded_tau_end_before_any_work(monkeypatch, tau_en
     monkeypatch.setattr(_native, "load", no_load)
     with pytest.raises(ValueError, match="finite|sample table"):
         integrate(0.01, tau_end, OdeConfig(dt=1e-3, L=64, sample_stride=10))
+
+
+NO_CC = shutil.which("cc") is None
+
+
+@pytest.mark.skipif(NO_CC, reason="no C compiler found")
+def test_kernel_builds_and_loads_where_a_compiler_is_found():
+    # load() turns a build error into None and the kernel tests above then
+    # skip, so this is the test a C source that does not compile fails.
+    assert _native.load() is not None
+
+
+@pytest.mark.skipif(NO_CC, reason="no C compiler found")
+def test_kernel_source_compiles_without_warnings():
+    source = os.path.join(os.path.dirname(_native.__file__), "_native.c")
+    proc = subprocess.run(
+        ["cc", "-std=c99", "-Wall", "-Wextra", "-Werror", "-fsyntax-only", source],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_load_without_compiler_returns_none(monkeypatch):
