@@ -22,6 +22,20 @@ static inline double term(const double *P, long l, long L, double c1, double c2,
     return -2.0 * P[l] + 2.0 * next + c1 * P[l - 1] * P[0] + c2 * conv;
 }
 
+/* Where GCC can clone a function per instruction set (x86-64, with glibc's
+ * loader to resolve the choice), rhs is built twice, for AVX2 and for the
+ * baseline, and the clone the CPU supports is picked when the library loads.
+ * The four lanes below then run as one AVX2 instruction or as whatever the
+ * baseline vectoriser makes of them; each lane is the same chain of IEEE
+ * multiplies and adds either way, and "avx2" does not enable FMA.  Other
+ * compilers and targets build the one plain function. */
+#if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__) && defined(__GLIBC__)
+#define RHS_CLONES __attribute__((target_clones("avx2", "default")))
+#else
+#define RHS_CLONES
+#endif
+
+RHS_CLONES
 static void rhs(const double *P, double p, long L, double *dP)
 {
     const double c0 = 1.0 + 5.0 * p - 2.0 * p * p;
@@ -30,29 +44,29 @@ static void rhs(const double *P, double p, long L, double *dP)
 
     dP[0] = -c0 * P[0] + P[1] + 1.0;
     dP[1] = -2.0 * P[1] + 2.0 * P[2] + c1 * P[0];
-    /* dP_l reads conv_{l-2}, four l at a time: the shared k loop gives four
-     * independent chains, and the longer half-sums then take their last
-     * terms, so every half-sum still adds in ascending k.  A block starts at
-     * l = 2j + 2, so its sums are conv_{2j} .. conv_{2j+3}. */
+    /* dP_l reads conv_{l-2}, four l at a time.  A block starts at l = 2j + 2,
+     * so its sums are conv_{2j} .. conv_{2j+3}; for k < j, lane q adds
+     * P_k P_{2j+q-k}, and the four factors P_{2j-k} .. P_{2j+3-k} are one
+     * contiguous slice.  The longer half-sums then take their last terms, so
+     * every half-sum still adds in ascending k. */
     long l = 2;
     for (; l + 3 <= L; l += 4) {
         const long j = (l - 2) / 2;
-        double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+        double s[4] = {0.0, 0.0, 0.0, 0.0};
         for (long k = 0; k < j; k++) {
             const double a = P[k];
-            s0 += a * P[l - 2 - k];
-            s1 += a * P[l - 1 - k];
-            s2 += a * P[l - k];
-            s3 += a * P[l + 1 - k];
+            const double *b = P + (l - 2 - k);
+            for (int q = 0; q < 4; q++)
+                s[q] += a * b[q];
         }
-        s1 += P[j] * P[j + 1];
-        s2 += P[j] * P[j + 2];
-        s3 += P[j] * P[j + 3];
-        s3 += P[j + 1] * P[j + 2];
-        dP[l] = term(P, l, L, c1, c2, 2.0 * s0 + P[j] * P[j]);
-        dP[l + 1] = term(P, l + 1, L, c1, c2, 2.0 * s1);
-        dP[l + 2] = term(P, l + 2, L, c1, c2, 2.0 * s2 + P[j + 1] * P[j + 1]);
-        dP[l + 3] = term(P, l + 3, L, c1, c2, 2.0 * s3);
+        s[1] += P[j] * P[j + 1];
+        s[2] += P[j] * P[j + 2];
+        s[3] += P[j] * P[j + 3];
+        s[3] += P[j + 1] * P[j + 2];
+        dP[l] = term(P, l, L, c1, c2, 2.0 * s[0] + P[j] * P[j]);
+        dP[l + 1] = term(P, l + 1, L, c1, c2, 2.0 * s[1]);
+        dP[l + 2] = term(P, l + 2, L, c1, c2, 2.0 * s[2] + P[j + 1] * P[j + 1]);
+        dP[l + 3] = term(P, l + 3, L, c1, c2, 2.0 * s[3]);
     }
     for (; l <= L; l++) {
         const long m = l - 2;

@@ -20,7 +20,10 @@ import numpy as np
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 _SOURCE = os.path.join(_HERE, "_native.c")
-# No -ffast-math or -march=native: the library must compute the same bytes on every machine.
+# No -ffast-math or -march=native: the library must compute the same bytes on
+# every machine, and a library built for the build machine's CPU could not be
+# shared with an older one.  The source picks its AVX2 code at load time
+# instead (target_clones in _native.c), with the same IEEE operations.
 _FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 
 

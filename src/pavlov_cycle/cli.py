@@ -36,7 +36,7 @@ from .dynamics import (
     StrategyKind,
     advance,
     new_state,
-    runs_of,
+    run_lengths,
 )
 from .experiments import (
     SweepConfig,
@@ -131,12 +131,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.trace:
         # Each row goes to disk as it is made, so memory does not grow with the run.
         def snapshot(out: TextIO) -> None:
-            runs = runs_of(state.states)
-            lm = max((ln for _, ln in runs.minus_runs), default=0)
-            lp = max((ln for _, ln in runs.plus_runs), default=0)
+            _, sign, lengths = run_lengths(state.states)
+            # Runs alternate in sign from the first one.
+            minus, plus = lengths[0::2], lengths[1::2]
+            if sign == 1:
+                minus, plus = plus, minus
             out.write(
                 f"{state.step_count},{state.minus_count},{state.cooperator_fraction()!r},"
-                f"{len(runs.minus_runs)},{len(runs.plus_runs)},{lm},{lp}\n"
+                f"{len(minus)},{len(plus)},{max(minus, default=0)},{max(plus, default=0)}\n"
             )
 
         with atomic_writer(args.trace) as out:

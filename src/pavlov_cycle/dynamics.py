@@ -143,10 +143,11 @@ class CycleState:
 
     minus_count always equals the number of -1 entries in ``states``.  A
     state is confined to one worker at a time; distinct states may run in
-    parallel freely.
+    parallel freely.  Each stream's iterator is built at its first use and
+    kept, so a state that never steps builds no stream objects.
     """
 
-    __slots__ = ("n", "states", "minus_count", "step_count", "_edges", "_uniforms")
+    __slots__ = ("n", "states", "minus_count", "step_count", "_seed", "_edge_stream", "_uniform_stream")
 
     def __init__(self, n: int, states: list[int], seed: int) -> None:
         self.n = n
@@ -156,9 +157,21 @@ class CycleState:
         seed = operator.index(seed)  # checked at once; the streams start lazily
         if seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {seed}")
-        chain = itertools.chain.from_iterable
-        self._edges: Iterator[int] = chain(_draws(seed, 0, n))
-        self._uniforms: Iterator[float] = chain(_draws(seed, 1, n))
+        self._seed = seed
+        self._edge_stream: Iterator[int] | None = None
+        self._uniform_stream: Iterator[float] | None = None
+
+    @property
+    def _edges(self) -> Iterator[int]:
+        if self._edge_stream is None:
+            self._edge_stream = itertools.chain.from_iterable(_draws(self._seed, 0, self.n))
+        return self._edge_stream
+
+    @property
+    def _uniforms(self) -> Iterator[float]:
+        if self._uniform_stream is None:
+            self._uniform_stream = itertools.chain.from_iterable(_draws(self._seed, 1, self.n))
+        return self._uniform_stream
 
     def cooperator_fraction(self) -> float:
         return (self.n - self.minus_count) / self.n
@@ -192,8 +205,9 @@ def new_state(n: int, init: InitConfig, seed: int) -> CycleState:
     state = CycleState(n, states, seed)
     if isinstance(init, Bernoulli):
         q = init.q
+        draw = state._uniforms.__next__
         for i in range(n):
-            if next(state._uniforms) < q:
+            if draw() < q:
                 states[i] = -1
         state.minus_count = states.count(-1)
     return state
@@ -389,16 +403,31 @@ class RunList:
     is_all_minus: bool
 
 
-def runs_of(states: Sequence[int]) -> RunList:
+def run_lengths(states: Sequence[int]) -> tuple[int, int, list[int]]:
+    """The cycle's maximal runs from one scan of its boundaries.
+
+    Returns (start, sign, lengths).  start is the first boundary, the
+    lowest i with states[i] != states[i - 1], and sign is the state there.
+    lengths lists every run from start around the cycle: signs alternate
+    from one run to the next, and the last run wraps past n - 1.  A uniform
+    cycle is the one run (0, states[0], [n]).
+    """
     n = len(states)
-    starts = [i for i in range(n) if states[i] != states[i - 1]]
+    # states[i - 1] for every i, in order: a boundary is where the two differ
+    starts = list(itertools.compress(range(n), map(operator.ne, states, [states[-1], *states])))
     if not starts:
-        if states[0] == 1:
-            return RunList(((0, n),), (), True, False)
-        return RunList((), ((0, n),), False, True)
-    # Signs alternate from one run to the next; the last run wraps past n - 1.
-    ends = starts[1:] + [starts[0] + n]
-    runs = [(start, end - start) for start, end in zip(starts, ends)]
-    if states[starts[0]] == 1:
-        return RunList(tuple(runs[0::2]), tuple(runs[1::2]), False, False)
-    return RunList(tuple(runs[1::2]), tuple(runs[0::2]), False, False)
+        return 0, states[0], [n]
+    first = starts[0]
+    ends = starts[1:]
+    ends.append(first + n)
+    return first, states[first], list(map(operator.sub, ends, starts))
+
+
+def runs_of(states: Sequence[int]) -> RunList:
+    start, sign, lengths = run_lengths(states)
+    runs = tuple(zip(itertools.accumulate(lengths[:-1], initial=start), lengths))
+    first, second = runs[0::2], runs[1::2]
+    uniform = len(runs) == 1
+    if sign == 1:
+        return RunList(first, second, uniform, False)
+    return RunList(second, first, False, uniform)

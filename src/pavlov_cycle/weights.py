@@ -31,7 +31,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .dynamics import CycleState, Strategy, StrategyKind, runs_of, transition_branches
+from .dynamics import CycleState, Strategy, StrategyKind, run_lengths, runs_of, transition_branches
 
 MARGIN_TOL = 1e-9
 
@@ -457,6 +457,8 @@ def one_step_drift(state: CycleState, table: WeightTable) -> DriftReport:
     * the all-defect cycle loses one or two defectors from its single run;
     * (+,+) edges and (-,-) outcomes change nothing.
 
+    The run lengths come from one boundary scan, dynamics.run_lengths, the
+    one runs_of reads; defector runs are summed in increasing start order.
     Branch probabilities come from dynamics.transition_branches.  The O(n^2)
     brute force that rescans every successor lives in tests/test_weights.py
     as the reference this function is checked against.
@@ -465,23 +467,25 @@ def one_step_drift(state: CycleState, table: WeightTable) -> DriftReport:
         raise ValueError(f"state has n = {state.n} but table has n = {table.n}")
     n = state.n
     w = table._weights
-    runs = runs_of(state.states)
-    minus = [length for _, length in runs.minus_runs]
+    _, sign, lengths = run_lengths(state.states)
+    # Runs alternate in sign around the cycle from the first boundary, so
+    # cooperator run k lies between the defector runs lefts[k] and rights[k].
+    if sign == -1:
+        minus, plus = lengths[0::2], lengths[1::2]
+        lefts, rights = minus, minus[1:] + minus[:1]
+    else:
+        minus, plus = lengths[1::2], lengths[0::2]
+        lefts, rights = minus[-1:] + minus[:-1], minus
     if not minus:
         return DriftReport(0.0, 0.0, 0.0, True)
-    w0 = sum(w[length] for length in minus)
-    if runs.is_all_minus:
+    w0 = sum(map(w.__getitem__, minus))
+    if not plus:  # the all-defect cycle
         change = n * sum(prob * (w[n - 2 + a + b] - w[n]) for a, b, prob in table._splits)
     else:
-        terms = table._split_terms
-        change = sum(chain.from_iterable(terms[length] for length in minus))
-        # Runs alternate around the cycle; pair each cooperator run with the
-        # defector runs on its left and right.
+        change = sum(chain.from_iterable(map(table._split_terms.__getitem__, minus)))
         m = len(minus)
-        shift = 0 if runs.plus_runs[0][0] < runs.minus_runs[0][0] else 1
-        for k, (_, plus) in enumerate(runs.plus_runs):
-            left, right = minus[k - 1 + shift], minus[(k + shift) % m]
-            if plus > 1:
+        for left, run, right in zip(lefts, plus, rights):
+            if run > 1:
                 change += w[left + 1] - w[left] + w[right + 1] - w[right]
             elif m > 1:
                 change += 2.0 * (w[left + 1 + right] - w[left] - w[right])

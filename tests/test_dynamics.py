@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pavlov_cycle import dynamics
 from pavlov_cycle.dynamics import (
     AllCooperate,
     AllDefect,
@@ -18,6 +19,7 @@ from pavlov_cycle.dynamics import (
     advance,
     edge_transition,
     new_state,
+    run_lengths,
     run_until_absorbed,
     runs_of,
     step,
@@ -109,13 +111,38 @@ def test_drift_oracle_builds_no_seed_sequence(monkeypatch):
         built.append(args)
         return real(*args, **kwargs)
 
+    real_draws = dynamics._draws
+    streams = []
+
+    def counting_draws(*args):
+        streams.append(args)
+        return real_draws(*args)
+
     monkeypatch.setattr(np.random, "SeedSequence", counting)
+    monkeypatch.setattr(dynamics, "_draws", counting_draws)
     table = build_weight_table("rp", 0.9, 1e-4, 10)
     state = new_state(10, Explicit((-1, -1, 1, -1, 1, 1, -1, -1, -1, 1)), 3)
     assert one_step_drift(state, table).satisfied
-    assert built == []
+    assert built == [] and streams == []  # no stream objects at all
     next(state._uniforms)  # the first draw of a stream builds its seed
-    assert built == [(3,)]
+    assert built == [(3,)] and streams == [(3, 1, 10)]
+    assert state._uniforms is state._uniforms and state._edges is state._edges
+    assert streams == [(3, 1, 10), (3, 0, 10)]  # each stream is built once
+
+
+def test_streams_continue_across_advance_calls():
+    n, seed = 37, 11
+    state = new_state(n, AllDefect(), seed)
+    edges = state._edges
+    for budget in (100, 1, _BUF):  # the last call crosses a refill
+        assert advance(state, Strategy.rp(0.3), budget) is None
+        assert state._edges is edges
+    assert state.step_count == _BUF + 101
+    # one edge per step, then the next draw picks up where advance stopped
+    assert next(state._edges) == _replay_streams(seed, n, _BUF + 102)[0][-1]
+    whole = new_state(n, AllDefect(), seed)
+    assert advance(whole, Strategy.rp(0.3), _BUF + 101) is None
+    assert whole.states == state.states and next(whole._uniforms) == next(state._uniforms)
 
 
 @pytest.mark.parametrize("n", [100, 10_000])
@@ -521,6 +548,21 @@ def test_extract_runs_alternating():
     r = runs_of(new_state(4, Explicit((-1, 1, -1, 1)), 0).states)
     assert r.minus_runs == ((0, 1), (2, 1))
     assert r.plus_runs == ((1, 1), (3, 1))
+
+
+@pytest.mark.parametrize(
+    "states, want",
+    [
+        ((1, 1, 1), (0, 1, [3])),
+        ((-1, -1, -1, -1), (0, -1, [4])),
+        ((-1, -1, 1, -1, 1, 1, 1), (0, -1, [2, 1, 1, 3])),  # boundary at index 0
+        ((-1, 1, 1, -1, -1), (1, 1, [2, 3])),  # the defector run wraps n - 1 -> 0
+        ((1, -1, 1), (1, -1, [1, 2])),
+    ],
+)
+def test_run_lengths_scan_from_the_first_boundary(states, want):
+    assert run_lengths(states) == want
+    assert run_lengths(list(states)) == want
 
 
 def _reference_runs(states):

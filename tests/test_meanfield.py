@@ -1,5 +1,5 @@
+import ctypes
 import math
-import os
 import shutil
 import subprocess
 
@@ -211,13 +211,13 @@ def _scalar_rk4_rows(start, p, dt, n_steps, L):
     return rows
 
 
-@pytest.mark.parametrize("L", [3, 4, 5, 6, 7, 9, 13])
+@pytest.mark.parametrize("L", [3, 4, 5, 6, 7, 9, 13, 64])
 def test_kernel_is_the_scalar_transcription_bit_for_bit(L):
     # Pins every P_l, not just P_0..P_2: the kernel computes four convolution
     # half-sums at a time, and each must still add its terms in ascending k,
     # then double, then add the middle square when m is even.  The grid puts
     # even and odd m in the one-at-a-time remainder after zero to three
-    # blocks of four.
+    # blocks of four, and L = 64, the size certify integrates, runs 15.
     lib = _native.load()
     if lib is None:
         pytest.skip("no C compiler found, or the kernel could not be built or loaded")
@@ -264,13 +264,52 @@ def test_kernel_builds_and_loads_where_a_compiler_is_found():
 
 
 @pytest.mark.skipif(NO_CC, reason="no C compiler found")
-def test_kernel_source_compiles_without_warnings():
-    source = os.path.join(os.path.dirname(_native.__file__), "_native.c")
-    proc = subprocess.run(
-        ["cc", "-std=c99", "-Wall", "-Wextra", "-Werror", "-fsyntax-only", source],
-        capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
+def test_kernel_source_compiles_without_warnings(tmp_path):
+    # The real compile with the loader's flags also reports the warnings that
+    # only code generation emits (-Wpsabi, -Wmaybe-uninitialized).
+    for extra in (["-fsyntax-only"], [*_native._FLAGS, "-o", str(tmp_path / "kernel.so")]):
+        proc = subprocess.run(
+            ["cc", "-std=c99", "-Wall", "-Wextra", "-Werror", *extra, _native._SOURCE],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, (extra, proc.stderr)
+
+
+CLONES = '__attribute__((target_clones("avx2", "default")))'
+
+
+def _baseline_source(variant):
+    """_native.c built with rhs in one baseline copy, as a CPU without AVX2 or
+    a target without the clone attribute runs it."""
+    with open(_native._SOURCE) as fh:
+        source = fh.read()
+    if variant == "attribute-stripped":
+        assert source.count(CLONES) == 1
+        return source.replace(CLONES, "")
+    # The guard reads __x86_64__ after the system headers, which need it.
+    return f"#include <math.h>\n#include <string.h>\n#undef __x86_64__\n{source}"
+
+
+@pytest.mark.skipif(NO_CC, reason="no C compiler found")
+@pytest.mark.parametrize("variant", ["attribute-stripped", "not-x86-64"])
+def test_baseline_kernel_gives_the_loaded_kernels_bits(tmp_path, variant):
+    lib = _native.load()
+    assert lib is not None
+    source, target = tmp_path / "kernel.c", tmp_path / "kernel.so"
+    source.write_text(_baseline_source(variant))
+    subprocess.run(["cc", *_native._FLAGS, "-o", str(target), str(source)], check=True, timeout=120)
+    assert b"rhs.avx2" not in target.read_bytes()  # one copy of rhs, no clones
+    baseline = ctypes.CDLL(str(target))
+    baseline.mf_rk4.argtypes, baseline.mf_rk4.restype = lib.mf_rk4.argtypes, lib.mf_rk4.restype
+    L, n_steps, stride = 64, 10_000, 10
+    start = np.zeros(L + 1)
+    start[0] = 1.0
+    work = np.empty(6 * (L + 1))
+    for p in (0.005, 0.01, 0.02):  # the certify integrations
+        got, want = (np.zeros((n_steps // stride, L + 1)) for _ in range(2))
+        assert baseline.mf_rk4(p, 1e-3, n_steps, stride, L, start, got, work) == 0
+        assert lib.mf_rk4(p, 1e-3, n_steps, stride, L, start, want, work) == 0
+        assert got.tobytes() == want.tobytes(), p
 
 
 def test_load_without_compiler_returns_none(monkeypatch):

@@ -580,12 +580,20 @@ def test_drift_matches_brute_force_on_criterion_4_states():
         assert _assert_drift_matches(new_state(n, Explicit(tuple(sts)), 0), tables[n, p]).satisfied
 
 
+def _drift_pins():
+    with open(os.path.join(os.path.dirname(__file__), "data", "drift_pins.json")) as fh:
+        return json.load(fh)
+
+
+def _pin_report(report):
+    return (report.state_potential.hex(), report.expected_next.hex(), report.bound.hex())
+
+
 def test_drift_golden_pins_on_criterion_4_states():
     # float.hex of every 300th criterion-4 report, frozen from the earlier
     # per-branch summation: the cached split terms must be added in the same
     # order, bit for bit
-    with open(os.path.join(os.path.dirname(__file__), "data", "drift_pins.json")) as fh:
-        pins = {pin["index"]: pin for pin in json.load(fh)}
+    pins = {pin["index"]: pin for pin in _drift_pins() if "index" in pin}
     assert len(pins) == 20
     for index, n, p, sts in _criterion_4_states():
         pin = pins.get(index)
@@ -594,8 +602,30 @@ def test_drift_golden_pins_on_criterion_4_states():
         assert (pin["n"], pin["p"]) == (n, p)
         assert pin["states"] == "".join("-" if s == -1 else "+" for s in sts)
         rep = one_step_drift(new_state(n, Explicit(tuple(sts)), 0), build_weight_table("rp", p, 1e-4, n))
-        got = (rep.state_potential.hex(), rep.expected_next.hex(), rep.bound.hex())
-        assert got == (pin["state_potential"], pin["expected_next"], pin["bound"]), index
+        assert _pin_report(rep) == (pin["state_potential"], pin["expected_next"], pin["bound"]), index
+
+
+# float.hex of the reports on states whose run structure the boundary scan
+# treats specially (a run across n - 1 -> 0, a boundary at index 0, a lone
+# or last cooperator, all-minus, n = 3), for rp and srp; frozen from the
+# runs_of-based oracle
+EDGE_PINS = [pin for pin in _drift_pins() if "case" in pin]
+
+
+def test_drift_edge_pins_cover_both_kinds():
+    assert len(EDGE_PINS) == 22
+    assert {pin["kind"] for pin in EDGE_PINS} == {"rp", "srp"}
+
+
+@pytest.mark.parametrize(
+    "pin", EDGE_PINS, ids=[f"{pin['kind']}-{pin['case']}" for pin in EDGE_PINS]
+)
+def test_drift_golden_pins_on_edge_cases(pin):
+    sts = tuple(-1 if c == "-" else 1 for c in pin["states"])
+    assert len(sts) == pin["n"]
+    table = build_weight_table(pin["kind"], pin["p"], pin["omega"], pin["n"])
+    rep = one_step_drift(new_state(pin["n"], Explicit(sts), 0), table)
+    assert _pin_report(rep) == (pin["state_potential"], pin["expected_next"], pin["bound"])
 
 
 def test_drift_all_plus_degenerate():
