@@ -21,7 +21,10 @@ consumes n uniforms from stream 1 before the first step.  Each update of a
 one under srp; mixed and (+,+) edges consume none.  "Cooperate" means
 u < p strictly, so p = 0 never cooperates and p = 1 always does.
 The seed must be a non-negative integer.  It is checked when the state is
-built, and a stream builds its seed and generator only at its first draw.
+built, and a stream builds its seed and generator only at its first refill.
+Each stream is a buffer of refills and a cursor.  advance may draw a refill
+before it needs its values, but a cursor moves only past values consumed,
+so every draw is the one repeated step() calls would make.
 """
 
 from __future__ import annotations
@@ -32,11 +35,17 @@ import operator
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 _BUF = 8192
+# Most picks advance takes as one list of edges.  A chunk several times
+# longer than a typical n = 100 run to absorption wastes its unread tail;
+# dividing _BUF keeps full chunks of edges on refill boundaries, with no
+# leftover to copy.
+_CHUNK = _BUF // 2
+_EMPTY = np.empty(0)
 
 
 class StrategyKind(str, Enum):
@@ -121,21 +130,62 @@ class Explicit:
 InitConfig = AllDefect | AllCooperate | SingleDefector | Bernoulli | Explicit
 
 
-def _draws(seed: int, stream: int, n: int) -> Iterator[memoryview]:
-    """One stream of the randomness contract, as ``_BUF``-value refills.
+class _Stream:
+    """One stream of the randomness contract: a refill buffer and a cursor.
 
-    Stream 0 refills with edge indices in [0, n), stream 1 with uniforms.
-    The stream's seed and PCG64 generator are built at its first draw, so a
-    state that never steps pays for neither.  The seed is built directly as
-    the child ``SeedSequence(seed).spawn(2)[stream]``, never spawned from a
-    parent.  Each refill stays a numpy array; iterating its memoryview
-    converts one value at a time to a plain ``int`` or ``float``, only when
-    it is drawn.
+    Stream 0 refills with edge indices in [0, n), stream 1 with uniforms,
+    ``_BUF`` values per numpy call.  The stream's seed, built directly as the
+    child ``SeedSequence(seed).spawn(2)[stream]``, and its PCG64 generator
+    are built at the first refill, so a state that never steps pays for
+    neither.  The buffer holds the values from the cursor on; values before
+    the cursor are consumed.
     """
-    child = np.random.SeedSequence(seed, spawn_key=(stream,))
-    rng = np.random.Generator(np.random.PCG64(child))
-    while True:
-        yield memoryview(rng.integers(0, n, size=_BUF) if stream == 0 else rng.random(_BUF))
+
+    __slots__ = ("_seed", "_stream", "_n", "_rng", "_buf", "_pos")
+
+    def __init__(self, seed: int, stream: int, n: int) -> None:
+        self._seed = seed
+        self._stream = stream
+        self._n = n
+        self._rng: np.random.Generator | None = None
+        self._buf = _EMPTY
+        self._pos = 0
+
+    def _refill(self) -> np.ndarray:
+        if self._rng is None:
+            child = np.random.SeedSequence(self._seed, spawn_key=(self._stream,))
+            self._rng = np.random.Generator(np.random.PCG64(child))
+        if self._stream == 0:
+            return self._rng.integers(0, self._n, size=_BUF)
+        return self._rng.random(_BUF)
+
+    def window(self, k: int) -> np.ndarray:
+        """The next k values in contract order, drawing refills as needed but consuming none."""
+        pos = self._pos
+        short = pos + k - len(self._buf)
+        if short > 0:
+            parts = [self._refill() for _ in range(-(-short // _BUF))]
+            if pos < len(self._buf):
+                parts.insert(0, self._buf[pos:])
+            self._buf = parts[0] if len(parts) == 1 else np.concatenate(parts)
+            self._pos = pos = 0
+        return self._buf[pos : pos + k]
+
+    def consume(self, k: int) -> None:
+        """Move the cursor past the first k values of the last window."""
+        self._pos += k
+
+    def __iter__(self) -> _Stream:
+        return self
+
+    def __next__(self) -> int | float:
+        """The next value as a plain ``int`` or ``float``, consumed."""
+        pos = self._pos
+        if pos == len(self._buf):
+            self._buf = self._refill()
+            pos = 0
+        self._pos = pos + 1
+        return self._buf.item(pos)
 
 
 class CycleState:
@@ -143,11 +193,11 @@ class CycleState:
 
     minus_count always equals the number of -1 entries in ``states``.  A
     state is confined to one worker at a time; distinct states may run in
-    parallel freely.  Each stream's iterator is built at its first use and
-    kept, so a state that never steps builds no stream objects.
+    parallel freely.  ``_edges`` and ``_uniforms`` are its two streams; a
+    state that never steps draws no refill and builds no ``SeedSequence``.
     """
 
-    __slots__ = ("n", "states", "minus_count", "step_count", "_seed", "_edge_stream", "_uniform_stream")
+    __slots__ = ("n", "states", "minus_count", "step_count", "_edges", "_uniforms")
 
     def __init__(self, n: int, states: list[int], seed: int) -> None:
         self.n = n
@@ -157,21 +207,8 @@ class CycleState:
         seed = operator.index(seed)  # checked at once; the streams start lazily
         if seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {seed}")
-        self._seed = seed
-        self._edge_stream: Iterator[int] | None = None
-        self._uniform_stream: Iterator[float] | None = None
-
-    @property
-    def _edges(self) -> Iterator[int]:
-        if self._edge_stream is None:
-            self._edge_stream = itertools.chain.from_iterable(_draws(self._seed, 0, self.n))
-        return self._edge_stream
-
-    @property
-    def _uniforms(self) -> Iterator[float]:
-        if self._uniform_stream is None:
-            self._uniform_stream = itertools.chain.from_iterable(_draws(self._seed, 1, self.n))
-        return self._uniform_stream
+        self._edges = _Stream(seed, 0, n)
+        self._uniforms = _Stream(seed, 1, n)
 
     def cooperator_fraction(self) -> float:
         return (self.n - self.minus_count) / self.n
@@ -204,12 +241,11 @@ def new_state(n: int, init: InitConfig, seed: int) -> CycleState:
         raise ValueError(f"unknown initial condition {init!r}")
     state = CycleState(n, states, seed)
     if isinstance(init, Bernoulli):
-        q = init.q
-        draw = state._uniforms.__next__
-        for i in range(n):
-            if draw() < q:
-                states[i] = -1
-        state.minus_count = states.count(-1)
+        # site i defects when the i-th uniform is below q, as n draws would decide
+        defects = state._uniforms.window(n) < init.q
+        state._uniforms.consume(n)
+        state.states = np.where(defects, -1, 1).tolist()
+        state.minus_count = int(np.count_nonzero(defects))
     return state
 
 
@@ -301,10 +337,17 @@ def advance(state: CycleState, strategy: Strategy, step_budget: int) -> Outcome 
     Returns the absorbing outcome reached (all-plus always terminates; at
     p = 0 all-minus does too) or None if the budget ran out first.  The state
     is mutated in place and consumes randomness exactly as repeated step()
-    calls would, so a budget <= 0 or an absorbed state draws nothing.
+    calls would, so a budget <= 0 or an absorbed state consumes nothing.
     Absorption is tested before the loop and then only where minus_count
     changes: all-plus after a (-,-) edge fully cooperates, all-minus after
     a defection.
+
+    The loop runs in chunks of at most ``_CHUNK`` picks.  A chunk iterates a
+    list of the next picks and reads each (-,-) update's u < p tests from
+    bytes compared in numpy: one flag per uniform under srp, and under rp
+    one code per pair of uniforms, bit 0 for the left endpoint and bit 1 for
+    the right.  The steps taken and the draws consumed are what the two
+    iterators report as left over, so the cursors move by exactly that.
     """
     p = strategy.p
     n = state.n
@@ -316,46 +359,61 @@ def advance(state: CycleState, strategy: Strategy, step_budget: int) -> Outcome 
     if mc == all_minus:
         return Outcome.ALL_MINUS
     srp = strategy.kind is StrategyKind.SRP
+    per_update = 1 if srp else 2
     states = state.states
     last = n - 1
-    next_uniform = state._uniforms.__next__
+    edges, uniforms = state._edges, state._uniforms
     outcome: Outcome | None = None
-    steps = state.step_count
-    for i in itertools.islice(state._edges, max(step_budget, 0)):
-        steps += 1
-        j = 0 if i == last else i + 1
-        a = states[i]
-        if a != states[j]:  # mixed edge: the cooperator defects
-            states[i] = states[j] = -1
-            mc += 1
-            if mc == all_minus:
-                outcome = Outcome.ALL_MINUS
-                break
-        elif a == 1:  # (+,+) edge: a null pick
-            continue
-        # (-,-) edge: consume uniforms in the documented order
-        elif srp:
-            if next_uniform() < p:
-                states[i] = states[j] = 1
-                mc -= 2
-                if mc == 0:
-                    outcome = Outcome.ALL_PLUS
+    budget = step_budget
+    while budget > 0 and outcome is None:
+        take = min(budget, _CHUNK)
+        picks = iter(edges.window(take).tolist())
+        below = (uniforms.window(per_update * take) < p).view(np.uint8)
+        if not srp:
+            below = below[0::2] | (below[1::2] << 1)
+        draws = iter(below.tobytes())
+        next_draw = draws.__next__
+        for i in picks:
+            j = 0 if i == last else i + 1
+            a = states[i]
+            if a != states[j]:  # mixed edge: the cooperator defects
+                states[i] = states[j] = -1
+                mc += 1
+                if mc == all_minus:
+                    outcome = Outcome.ALL_MINUS
                     break
-        elif next_uniform() < p:
-            states[i] = 1
-            mc -= 1
-            if next_uniform() < p:
-                states[j] = 1
-                mc -= 1
-                if mc == 0:
-                    outcome = Outcome.ALL_PLUS
-                    break
-        elif next_uniform() < p:
-            states[j] = 1
-            mc -= 1
+            elif a == 1:  # (+,+) edge: a null pick
+                continue
+            # (-,-) edge: the u < p tests of its uniforms, in the documented order
+            elif srp:
+                if next_draw():
+                    states[i] = states[j] = 1
+                    mc -= 2
+                    if mc == 0:
+                        outcome = Outcome.ALL_PLUS
+                        break
+            else:
+                code = next_draw()
+                if code:
+                    if code == 3:
+                        states[i] = states[j] = 1
+                        mc -= 2
+                        if mc == 0:
+                            outcome = Outcome.ALL_PLUS
+                            break
+                    elif code == 1:
+                        states[i] = 1
+                        mc -= 1
+                    else:
+                        states[j] = 1
+                        mc -= 1
+        taken = take - operator.length_hint(picks)
+        edges.consume(taken)
+        uniforms.consume(per_update * (len(below) - operator.length_hint(draws)))
+        state.step_count += taken
+        budget -= taken
 
     state.minus_count = mc
-    state.step_count = steps
     return outcome
 
 
@@ -389,20 +447,6 @@ def run_until_absorbed(
 # run structure
 
 
-@dataclass(frozen=True)
-class RunList:
-    """Maximal alternating runs around the cycle, as (start, length) pairs.
-
-    Runs are listed in increasing start order.  The uniform configurations
-    carry a single pseudo-run covering the whole cycle.
-    """
-
-    plus_runs: tuple[tuple[int, int], ...]
-    minus_runs: tuple[tuple[int, int], ...]
-    is_all_plus: bool
-    is_all_minus: bool
-
-
 def run_lengths(states: Sequence[int]) -> tuple[int, int, list[int]]:
     """The cycle's maximal runs from one scan of its boundaries.
 
@@ -422,12 +466,3 @@ def run_lengths(states: Sequence[int]) -> tuple[int, int, list[int]]:
     ends.append(first + n)
     return first, states[first], list(map(operator.sub, ends, starts))
 
-
-def runs_of(states: Sequence[int]) -> RunList:
-    start, sign, lengths = run_lengths(states)
-    runs = tuple(zip(itertools.accumulate(lengths[:-1], initial=start), lengths))
-    first, second = runs[0::2], runs[1::2]
-    uniform = len(runs) == 1
-    if sign == 1:
-        return RunList(first, second, uniform, False)
-    return RunList(second, first, False, uniform)

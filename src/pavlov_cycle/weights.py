@@ -27,11 +27,11 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, islice
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .dynamics import CycleState, Strategy, StrategyKind, run_lengths, runs_of, transition_branches
+from .dynamics import CycleState, Strategy, StrategyKind, run_lengths, transition_branches
 
 MARGIN_TOL = 1e-9
 
@@ -294,7 +294,9 @@ class WeightTable:
         return _evaluate_constraints(self)
 
     def potential(self, states: Sequence[int]) -> float:
-        return sum(self.weight(length) for _, length in runs_of(states).minus_runs)
+        """W(states): the weights of its defector runs, summed in increasing start order."""
+        _, sign, lengths = run_lengths(states)
+        return sum(map(self.weight, lengths[0::2] if sign == -1 else lengths[1::2]))
 
 
 def build_weight_table(kind: StrategyKind | str, p: float, omega: float, n: int) -> WeightTable:
@@ -429,8 +431,7 @@ def _evaluate_constraints(table: WeightTable) -> ConstraintReport:
 # one-step drift
 
 
-@dataclass(frozen=True)
-class DriftReport:
+class DriftReport(NamedTuple):
     state_potential: float
     expected_next: float
     bound: float
@@ -457,8 +458,9 @@ def one_step_drift(state: CycleState, table: WeightTable) -> DriftReport:
     * the all-defect cycle loses one or two defectors from its single run;
     * (+,+) edges and (-,-) outcomes change nothing.
 
-    The run lengths come from one boundary scan, dynamics.run_lengths, the
-    one runs_of reads; defector runs are summed in increasing start order.
+    The run lengths come from one boundary scan, dynamics.run_lengths, which
+    potential and the trace snapshot read too; defector runs are summed in
+    increasing start order.
     Branch probabilities come from dynamics.transition_branches.  The O(n^2)
     brute force that rescans every successor lives in tests/test_weights.py
     as the reference this function is checked against.

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pavlov_cycle import dynamics
 from pavlov_cycle.dynamics import (
     AllCooperate,
     AllDefect,
@@ -21,12 +20,11 @@ from pavlov_cycle.dynamics import (
     new_state,
     run_lengths,
     run_until_absorbed,
-    runs_of,
     step,
     transition_branches,
     uniforms_drawn,
 )
-from pavlov_cycle.dynamics import _BUF
+from pavlov_cycle.dynamics import _BUF, _CHUNK
 from pavlov_cycle.weights import build_weight_table, one_step_drift
 
 
@@ -108,26 +106,19 @@ def test_drift_oracle_builds_no_seed_sequence(monkeypatch):
     built = []
 
     def counting(*args, **kwargs):
-        built.append(args)
+        built.append((args, kwargs))
         return real(*args, **kwargs)
 
-    real_draws = dynamics._draws
-    streams = []
-
-    def counting_draws(*args):
-        streams.append(args)
-        return real_draws(*args)
-
     monkeypatch.setattr(np.random, "SeedSequence", counting)
-    monkeypatch.setattr(dynamics, "_draws", counting_draws)
     table = build_weight_table("rp", 0.9, 1e-4, 10)
     state = new_state(10, Explicit((-1, -1, 1, -1, 1, 1, -1, -1, -1, 1)), 3)
     assert one_step_drift(state, table).satisfied
-    assert built == [] and streams == []  # no stream objects at all
+    assert built == []  # a state that never steps builds no seed
+    uniform_seed = ((3,), {"spawn_key": (1,)})
     next(state._uniforms)  # the first draw of a stream builds its seed
-    assert built == [(3,)] and streams == [(3, 1, 10)]
-    assert state._uniforms is state._uniforms and state._edges is state._edges
-    assert streams == [(3, 1, 10), (3, 0, 10)]  # each stream is built once
+    assert built == [uniform_seed]
+    advance(state, Strategy.rp(0.3), 3 * _BUF)  # several refills of both streams
+    assert built == [uniform_seed, ((3,), {"spawn_key": (0,)})]  # one per drawn stream
 
 
 def test_streams_continue_across_advance_calls():
@@ -154,6 +145,22 @@ def test_streams_hand_out_plain_python_numbers(n):
         assert type(next(stream)) is kind
         assert {type(v) for v in itertools.islice(stream, _BUF)} == {kind}
         assert type(next(stream)) is kind
+
+
+@pytest.mark.parametrize("n", [3, 37, _BUF + 3])
+def test_bernoulli_start_matches_per_site_draws(n):
+    # the start compares a window of n uniforms at once; it must defect
+    # exactly where per-site draws would and leave the cursor just past them
+    seed, q = 8, 0.4
+    _, uniforms = _replay_streams(seed, n, n + 3)
+    per_site = new_state(n, AllCooperate(), seed)
+    want = [-1 if next(per_site._uniforms) < q else 1 for _ in range(n)]
+    assert want == [-1 if u < q else 1 for u in uniforms[:n]]
+    s = new_state(n, Bernoulli(q), seed)
+    assert s.states == want and {type(x) for x in s.states} == {int}
+    assert s.minus_count == want.count(-1)
+    assert [next(s._uniforms) for _ in range(3)] == uniforms[n:]
+    assert next(s._edges) == _replay_streams(seed, n, 1)[0][0]
 
 
 def test_strategy_validation():
@@ -384,12 +391,19 @@ def _absorbed(state, strat):
     return None
 
 
-def _step_until_absorbed(state, strat, budget):
-    """step() at most ``budget`` times, stopping where advance stops; its outcome."""
+def _steps_drawing(state, strat, budget):
+    """step() at most ``budget`` times, stopping where advance stops; uniforms drawn."""
+    drawn = 0
     for _ in range(budget):
         if _absorbed(state, strat):
             break
-        step(state, strat)
+        drawn += uniforms_drawn(*step(state, strat).old_pair, strat)
+    return drawn
+
+
+def _step_until_absorbed(state, strat, budget):
+    """step() at most ``budget`` times, stopping where advance stops; its outcome."""
+    _steps_drawing(state, strat, budget)
     return _absorbed(state, strat)
 
 
@@ -482,6 +496,63 @@ def test_step_matches_advance_across_refills(strat):
     assert b.step_count > 3 * _BUF and uniforms > 3 * _BUF  # three refills of each stream
 
 
+def _next_three(state):
+    return [next(state._edges) for _ in range(3)], [next(state._uniforms) for _ in range(3)]
+
+
+CHUNK_STRATEGIES = [make(p) for make in (Strategy.rp, Strategy.srp) for p in (0.0, 0.3, 1.0)]
+
+
+@pytest.mark.parametrize(
+    "budget", [_CHUNK - 1, _CHUNK, _CHUNK + 1, _BUF - 1, _BUF + 1, 3 * _BUF + 7]
+)
+@pytest.mark.parametrize("strat", CHUNK_STRATEGIES, ids=lambda s: f"{s.kind.value}-{s.p}")
+def test_advance_chunks_match_step_and_replay(strat, budget):
+    # Two advance calls against a step() loop, the second starting where the
+    # first and three more draws left each stream's cursor.  None of these
+    # runs absorbs within its budgets, so every chunk takes all of its picks.
+    # After each call the next three draws of each stream, of both states,
+    # are the replay's values at the counted positions.
+    n, q, seed = 20000, 0.9, 17
+    a = new_state(n, Bernoulli(q), seed)
+    b = new_state(n, Bernoulli(q), seed)
+    edges, uniforms = _replay_streams(seed, n, n + 4 * budget + 6)
+    used_edges, used_uniforms = 0, n
+    for _ in range(2):
+        assert advance(a, strat, budget) is None
+        drawn = _steps_drawing(b, strat, budget)
+        assert (a.states, a.step_count, a.minus_count) == (b.states, b.step_count, b.minus_count)
+        used_edges += budget
+        used_uniforms += drawn
+        want = (edges[used_edges : used_edges + 3], uniforms[used_uniforms : used_uniforms + 3])
+        assert _next_three(a) == want == _next_three(b)
+        used_edges += 3
+        used_uniforms += 3
+
+
+@pytest.mark.parametrize(
+    "strat, n",
+    [(Strategy.rp(0.6), 60), (Strategy.srp(0.45), 100), (Strategy.rp(0.0), 2000), (Strategy.srp(0.0), 2000)],
+    ids=["rp", "srp", "rp-p0", "srp-p0"],
+)
+def test_advance_absorbs_inside_a_later_chunk(strat, n):
+    # absorption past the first chunk and off a chunk boundary; the cursors
+    # stop at the absorbing step, where a step() run and the replay stop
+    seed = 5
+    b = new_state(n, Bernoulli(0.5), seed)
+    drawn = _steps_drawing(b, strat, 10**6)
+    absorbed_at = b.step_count
+    outcome = _absorbed(b, strat)
+    assert outcome is not None and absorbed_at > _CHUNK and absorbed_at % _CHUNK
+    a = new_state(n, Bernoulli(0.5), seed)
+    assert advance(a, strat, 10 * absorbed_at) is outcome
+    assert (a.states, a.step_count, a.minus_count) == (b.states, absorbed_at, b.minus_count)
+    used_uniforms = n + drawn
+    edges, uniforms = _replay_streams(seed, n, max(absorbed_at, used_uniforms) + 3)
+    want = (edges[absorbed_at : absorbed_at + 3], uniforms[used_uniforms : used_uniforms + 3])
+    assert _next_three(a) == want == _next_three(b)
+
+
 # ---------------------------------------------------------------------------
 # full runs
 
@@ -528,26 +599,20 @@ def test_identical_seeds_identical_runs():
 
 
 def test_extract_runs_all_minus_pseudo_run():
-    r = runs_of(new_state(7, AllDefect(), 0).states)
-    assert r.is_all_minus and not r.is_all_plus
-    assert r.minus_runs == ((0, 7),) and r.plus_runs == ()
+    assert run_lengths(new_state(7, AllDefect(), 0).states) == (0, -1, [7])
 
 
 def test_extract_runs_all_plus_pseudo_run():
-    r = runs_of(new_state(5, AllCooperate(), 0).states)
-    assert r.is_all_plus and r.plus_runs == ((0, 5),) and r.minus_runs == ()
+    assert run_lengths(new_state(5, AllCooperate(), 0).states) == (0, 1, [5])
 
 
 def test_extract_runs_wraparound():
-    r = runs_of(new_state(5, Explicit((1, -1, -1, 1, 1)), 0).states)
-    assert r.minus_runs == ((1, 2),)
-    assert r.plus_runs == ((3, 3),)
+    # defectors at 1..2, then cooperators at 3, 4 and 0 across n - 1 -> 0
+    assert run_lengths(new_state(5, Explicit((1, -1, -1, 1, 1)), 0).states) == (1, -1, [2, 3])
 
 
 def test_extract_runs_alternating():
-    r = runs_of(new_state(4, Explicit((-1, 1, -1, 1)), 0).states)
-    assert r.minus_runs == ((0, 1), (2, 1))
-    assert r.plus_runs == ((1, 1), (3, 1))
+    assert run_lengths(new_state(4, Explicit((-1, 1, -1, 1)), 0).states) == (0, -1, [1, 1, 1, 1])
 
 
 @pytest.mark.parametrize(
@@ -581,21 +646,17 @@ def _reference_runs(states):
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.sampled_from([-1, 1]), min_size=3, max_size=40))
 def test_runs_match_reference_and_invariants(states):
-    r = runs_of(states)
+    start, sign, lengths = run_lengths(states)
     n = len(states)
-    if all(s == 1 for s in states):
-        assert r.is_all_plus and r.plus_runs == ((0, n),)
+    assert sum(lengths) == n
+    if len(set(states)) == 1:
+        assert (start, sign, lengths) == (0, states[0], [n])
         return
-    if all(s == -1 for s in states):
-        assert r.is_all_minus and r.minus_runs == ((0, n),)
-        return
-    ref = _reference_runs(states)
-    got = sorted([(s, ln, 1) for s, ln in r.plus_runs] + [(s, ln, -1) for s, ln in r.minus_runs])
-    assert got == sorted(ref)
-    assert sum(ln for _, ln, _ in got) == n
-    assert len(r.plus_runs) == len(r.minus_runs)
-    # minus_runs lists the defector runs in increasing start order
-    assert list(r.minus_runs) == [(s, ln) for s, ln, sign in sorted(ref) if sign == -1]
+    starts = itertools.accumulate(lengths[:-1], initial=start)
+    # runs in increasing start order, alternating in sign, as many of each sign
+    got = list(zip(starts, lengths, itertools.cycle((sign, -sign))))
+    assert got == _reference_runs(states)
+    assert len(lengths) % 2 == 0
 
 
 @settings(max_examples=100, deadline=None)

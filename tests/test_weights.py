@@ -15,7 +15,7 @@ from pavlov_cycle.dynamics import (
     Strategy,
     StrategyKind,
     new_state,
-    runs_of,
+    run_lengths,
     transition_branches,
 )
 from pavlov_cycle.weights import (
@@ -451,7 +451,8 @@ def _drift_brute_force(state, table):
     w = table.weight_array()
 
     def pot(s):
-        return sum(w[ell] for _, ell in runs_of(s).minus_runs)
+        _, sign, lengths = run_lengths(s)
+        return sum(w[ell] for ell in (lengths[0::2] if sign == -1 else lengths[1::2]))
 
     w0 = pot(states)
     bound = (1.0 - table.omega / n) * w0
@@ -607,8 +608,8 @@ def test_drift_golden_pins_on_criterion_4_states():
 
 # float.hex of the reports on states whose run structure the boundary scan
 # treats specially (a run across n - 1 -> 0, a boundary at index 0, a lone
-# or last cooperator, all-minus, n = 3), for rp and srp; frozen from the
-# runs_of-based oracle
+# or last cooperator, all-minus, n = 3), for rp and srp; frozen before the
+# oracle read the boundary scan
 EDGE_PINS = [pin for pin in _drift_pins() if "case" in pin]
 
 
