@@ -1,6 +1,6 @@
 /* Fixed-step RK4 of the truncated mean-field hierarchy (see meanfield.py).
  *
- * Mirrors meanfield._integrate_numpy term for term: the right-hand side adds
+ * Mirrors meanfield._rk4_numpy term for term: the right-hand side adds
  * its terms in the order rhs does, the stage points are P + (0.5 dt) k, and
  * the update is P + (dt/6)(((k1 + 2 k2) + 2 k3) + k4).  Only the convolution
  * sums are formed differently: conv_m = sum_{k=0}^{m} P_k P_{m-k} is

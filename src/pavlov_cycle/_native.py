@@ -3,9 +3,10 @@
 load() compiles the source with the system C compiler on first use, caches
 the library in this package's __pycache__ under a name keyed by the sha256
 of the source and flags, and returns it.  It returns None whenever the
-library cannot be built or loaded; callers then take the numpy path.  Only
-load() imports the build tools (hashlib, subprocess, numpy.ctypeslib), so a
-run that never integrates does not pay for them.
+library cannot be built or loaded; meanfield.integrate then runs the same
+steps in _rk4_numpy.  Only load() imports the build tools (hashlib,
+subprocess, numpy.ctypeslib), so a run that never integrates does not pay
+for them.
 """
 
 from __future__ import annotations

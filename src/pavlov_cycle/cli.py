@@ -50,6 +50,7 @@ from .experiments import (
     summary_to_csv,
 )
 from .meanfield import (
+    IntegrationDivergedError,
     OdeConfig,
     closed_form_short_runs,
     closed_form_total,
@@ -411,7 +412,7 @@ def main(argv: list[str] | None = None) -> int:
     except InfeasibleParameterError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, IntegrationDivergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except SystemExit as exc:  # argparse --help/--version

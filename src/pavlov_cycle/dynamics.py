@@ -343,11 +343,12 @@ def advance(state: CycleState, strategy: Strategy, step_budget: int) -> Outcome 
     a defection.
 
     The loop runs in chunks of at most ``_CHUNK`` picks.  A chunk iterates a
-    list of the next picks and reads each (-,-) update's u < p tests from
-    bytes compared in numpy: one flag per uniform under srp, and under rp
-    one code per pair of uniforms, bit 0 for the left endpoint and bit 1 for
-    the right.  The steps taken and the draws consumed are what the two
-    iterators report as left over, so the cursors move by exactly that.
+    list of the next picks and reads each (-,-) update's outcome from one
+    code per update, compared in numpy: bit 0 set when the left endpoint
+    cooperates, bit 1 when the right one does.  Under rp the code packs the
+    update's two u < p tests; under srp its one test sets both bits.  The
+    steps taken and the draws consumed are what the two iterators report as
+    left over, so the cursors move by exactly that.
     """
     p = strategy.p
     n = state.n
@@ -369,9 +370,8 @@ def advance(state: CycleState, strategy: Strategy, step_budget: int) -> Outcome 
         take = min(budget, _CHUNK)
         picks = iter(edges.window(take).tolist())
         below = (uniforms.window(per_update * take) < p).view(np.uint8)
-        if not srp:
-            below = below[0::2] | (below[1::2] << 1)
-        draws = iter(below.tobytes())
+        codes = below * 3 if srp else below[0::2] | (below[1::2] << 1)
+        draws = iter(codes.tobytes())
         next_draw = draws.__next__
         for i in picks:
             j = 0 if i == last else i + 1
@@ -384,15 +384,7 @@ def advance(state: CycleState, strategy: Strategy, step_budget: int) -> Outcome 
                     break
             elif a == 1:  # (+,+) edge: a null pick
                 continue
-            # (-,-) edge: the u < p tests of its uniforms, in the documented order
-            elif srp:
-                if next_draw():
-                    states[i] = states[j] = 1
-                    mc -= 2
-                    if mc == 0:
-                        outcome = Outcome.ALL_PLUS
-                        break
-            else:
+            else:  # (-,-) edge: which endpoints cooperate, bit 0 the left
                 code = next_draw()
                 if code:
                     if code == 3:
@@ -409,7 +401,7 @@ def advance(state: CycleState, strategy: Strategy, step_budget: int) -> Outcome 
                         mc -= 1
         taken = take - operator.length_hint(picks)
         edges.consume(taken)
-        uniforms.consume(per_update * (len(below) - operator.length_hint(draws)))
+        uniforms.consume(per_update * (len(codes) - operator.length_hint(draws)))
         state.step_count += taken
         budget -= taken
 

@@ -110,9 +110,10 @@ def integrate(p: float, tau_end: float, config: OdeConfig | None = None) -> Traj
     Samples every config.sample_stride steps; the final state is always
     included.  Raises ValueError, before any step, when tau_end is not
     finite or its samples would hold more than 2^27 values, and
-    IntegrationDivergedError on non-finite values.  Runs the compiled
-    kernel of _native.c when it can be built, else the numpy loop; the two
-    agree to rounding in the convolution sums.  The kernel forms each
+    IntegrationDivergedError on non-finite values.  The steps run in the
+    compiled kernel mf_rk4 of _native.c when it can be built, else in
+    _rk4_numpy; both fill the same sample table and the two agree to
+    rounding in the convolution sums.  The kernel forms each
     conv_m = sum_{k=0}^{m} P_k P_{m-k} from half its terms: the sum over
     k < m - k in ascending k, doubled, plus P_{m/2}^2 when m is even.
     """
@@ -122,7 +123,7 @@ def integrate(p: float, tau_end: float, config: OdeConfig | None = None) -> Traj
         raise ValueError(f"tau_end must be finite and >= 0, got {tau_end}")
     config = config or OdeConfig()
     L, dt, stride = config.L, config.dt, config.sample_stride
-    # Both paths keep up to n_steps // stride + 2 samples of L + 1 values.
+    # The table keeps up to n_steps // stride + 2 samples of L + 1 values.
     quotient = tau_end / dt  # inf when the division overflows
     rows = math.inf if math.isinf(quotient) else int(round(quotient)) // stride + 2
     if rows * (L + 1) > _MAX_SAMPLE_DOUBLES:
@@ -131,8 +132,7 @@ def integrate(p: float, tau_end: float, config: OdeConfig | None = None) -> Traj
             f"doubles, more than the limit of {_MAX_SAMPLE_DOUBLES}"
         )
     lib = _native.load()
-    if lib is None:
-        return _integrate_numpy(p, tau_end, config)
+    rk4 = _rk4_numpy if lib is None else lib.mf_rk4
     n_steps = int(round(quotient))
     steps = np.arange(stride, n_steps + 1, stride)
     if n_steps % stride:
@@ -141,39 +141,39 @@ def integrate(p: float, tau_end: float, config: OdeConfig | None = None) -> Traj
     samples = np.zeros((len(taus), L + 1))
     samples[0, 0] = 1.0
     work = np.empty(6 * (L + 1))
-    failed = lib.mf_rk4(p, dt, n_steps, stride, L, samples[0], samples[1:], work)
+    failed = rk4(p, dt, n_steps, stride, L, samples[0], samples[1:], work)
     if failed:
-        raise _diverged(failed, p, config)
+        raise IntegrationDivergedError(
+            f"non-finite values at tau = {failed * dt:.6g} (p = {p}, L = {L}, dt = {dt})"
+        )
     return Trajectory(p=p, L=L, taus=taus, P=samples)
 
 
-def _diverged(step: int, p: float, config: OdeConfig) -> IntegrationDivergedError:
-    return IntegrationDivergedError(
-        f"non-finite values at tau = {step * config.dt:.6g} (p = {p}, L = {config.L}, dt = {config.dt})"
-    )
+def _rk4_numpy(
+    p: float, dt: float, n_steps: int, stride: int, L: int,
+    start: np.ndarray, out: np.ndarray, work: np.ndarray,
+) -> int:
+    """mf_rk4 in numpy: the reference loop, and the only path when no C compiler is found.
 
-
-def _integrate_numpy(p: float, tau_end: float, config: OdeConfig) -> Trajectory:
-    """Reference loop of integrate; the only path when no C compiler is found."""
-    L = config.L
-    dt = config.dt
-    P = np.zeros(L + 1)
-    P[0] = 1.0
-    n_steps = int(round(tau_end / dt))
-    taus = [0.0]
-    samples = [P.copy()]
-    for k in range(n_steps):
+    Takes n_steps from start, writes every stride-th state and the last one
+    to the successive rows of out, and returns the first step whose state is
+    not finite, else 0.  L is len(start) - 1, and work goes unused: each
+    step allocates its own arrays.
+    """
+    P = start.copy()
+    row = 0
+    for step in range(1, n_steps + 1):
         k1 = rhs(P, p)
         k2 = rhs(P + 0.5 * dt * k1, p)
         k3 = rhs(P + 0.5 * dt * k2, p)
         k4 = rhs(P + dt * k3, p)
         P = P + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.all(np.isfinite(P)):
-            raise _diverged(k + 1, p, config)
-        if (k + 1) % config.sample_stride == 0 or k + 1 == n_steps:
-            taus.append((k + 1) * dt)
-            samples.append(P.copy())
-    return Trajectory(p=p, L=L, taus=np.array(taus), P=np.array(samples))
+            return step
+        if step % stride == 0 or step == n_steps:
+            out[row] = P
+            row += 1
+    return 0
 
 
 # ---------------------------------------------------------------------------

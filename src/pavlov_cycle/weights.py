@@ -32,6 +32,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .dynamics import CycleState, Strategy, StrategyKind, run_lengths, transition_branches
+from .experiments import atomic_write_text
 
 MARGIN_TOL = 1e-9
 
@@ -559,8 +560,6 @@ def weight_table_rows(table: WeightTable) -> list[tuple[int, float | None, float
 
 
 def write_weight_table_csv(table: WeightTable, path: str) -> None:
-    from .experiments import atomic_write_text  # local import avoids a cycle
-
     lines = ["ell,w_hat,w,margin"]
     for ell, raw, wval, margin in weight_table_rows(table):
         raw_s = "" if raw is None else repr(raw)

@@ -535,15 +535,23 @@ def test_meanfield_rejects_big_dt(capsys):
     assert code == 1
 
 
-# Runs meanfield in a child interpreter; argv[1] "numpy" patches the kernel
-# loader to return None, so integrate takes its numpy loop.
+# Runs meanfield with the options argv[2:] in a child interpreter; argv[1]
+# "numpy" patches the kernel loader to return None, so integrate takes its
+# numpy loop.
 MEANFIELD_CHILD = """
 import sys
 from pavlov_cycle import _native, cli
 if sys.argv[1] == "numpy":
     _native.load = lambda: None
-sys.exit(cli.main(["meanfield", "--p", "0.01", "--tau-end", sys.argv[2], "--quiet"]))
+sys.exit(cli.main(["meanfield", *sys.argv[2:], "--quiet"]))
 """
+
+
+def run_meanfield_child(path, *options):
+    return subprocess.run(
+        [sys.executable, "-c", MEANFIELD_CHILD, path, *options],
+        capture_output=True, text=True, env=child_env(), timeout=60,
+    )
 
 
 @pytest.mark.parametrize("path", ["kernel", "numpy"])
@@ -551,13 +559,21 @@ sys.exit(cli.main(["meanfield", "--p", "0.01", "--tau-end", sys.argv[2], "--quie
 def test_meanfield_rejects_unbounded_tau_end(tau_end, path):
     # In a child process with a timeout: 1e30 looped until killed on the
     # numpy path, and inf ended in an OverflowError traceback.
-    proc = subprocess.run(
-        [sys.executable, "-c", MEANFIELD_CHILD, path, tau_end],
-        capture_output=True, text=True, env=child_env(), timeout=60,
-    )
+    proc = run_meanfield_child(path, "--p", "0.01", "--tau-end", tau_end)
     assert proc.returncode == 1
     assert "error:" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("path", ["kernel", "numpy"])
+def test_meanfield_divergence_exits_1_without_traceback(path):
+    # IntegrationDivergedError is a RuntimeError, which main once let through.
+    proc = run_meanfield_child(path, "--p", "0.99", "--tau-end", "100", "--dt", "0.01", "--L", "200")
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    assert errors == ["error: non-finite values at tau = 8.66 (p = 0.99, L = 200, dt = 0.01)"]
+    assert proc.stdout == ""
 
 
 def test_defect_time_output(capsys):

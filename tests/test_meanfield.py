@@ -10,12 +10,13 @@ from pavlov_cycle import _native
 from pavlov_cycle.dynamics import AllDefect, Strategy, advance, new_state
 from pavlov_cycle.experiments import derive_seed
 from pavlov_cycle.meanfield import (
+    IntegrationDivergedError,
     OdeConfig,
     RegimeError,
+    _rk4_numpy,
     closed_form_short_runs,
     closed_form_total,
     eigenvalue_check,
-    _integrate_numpy,
     integrate,
     long_run_bound,
     rhs,
@@ -147,21 +148,36 @@ KERNEL_GRID = [
 ]
 
 
+def _run_rk4(rk4, p, tau_end, L, dt, stride, start, out, work):
+    """Call one of the two RK4 loops as integrate does; a copy of out."""
+    out.fill(np.nan)
+    assert rk4(p, dt, int(round(tau_end / dt)), stride, L, start, out, work) == 0
+    return out.copy()
+
+
+def _rk4_arrays(tau_end, L, dt, stride):
+    """The all-defect start, an out table of integrate's shape and a work array."""
+    n_steps = int(round(tau_end / dt))
+    start = np.zeros(L + 1)
+    start[0] = 1.0
+    out = np.empty((-(-n_steps // stride), L + 1))
+    return start, out, np.empty(6 * (L + 1))
+
+
 @pytest.mark.parametrize("p, tau_end, L, dt, stride", KERNEL_GRID)
 def test_kernel_matches_numpy_loop(p, tau_end, L, dt, stride):
-    if _native.load() is None:
+    lib = _native.load()
+    if lib is None:
         pytest.skip("no C compiler found, or the kernel could not be built or loaded")
-    config = OdeConfig(dt=dt, L=L, sample_stride=stride)
-    got = integrate(p, tau_end, config)
-    ref = _integrate_numpy(p, tau_end, config)
-    assert got.taus.tolist() == ref.taus.tolist()
-    assert got.P.shape == ref.P.shape
+    arrays = _rk4_arrays(tau_end, L, dt, stride)
+    got = _run_rk4(lib.mf_rk4, p, tau_end, L, dt, stride, *arrays)
+    ref = _run_rk4(_rk4_numpy, p, tau_end, L, dt, stride, *arrays)
     # P_0..P_2 never read a convolution sum of more than one term, so they
     # match bit for bit; the longer sums may be added in another order.
-    assert np.array_equal(got.P[:, :3], ref.P[:, :3])
-    big = np.abs(ref.P) > 1e-280
-    np.testing.assert_allclose(got.P[big], ref.P[big], rtol=1e-12, atol=0.0)
-    assert np.all(np.abs(got.P[~big]) <= 1e-270)
+    assert np.array_equal(got[:, :3], ref[:, :3])
+    big = np.abs(ref) > 1e-280
+    np.testing.assert_allclose(got[big], ref[big], rtol=1e-12, atol=0.0)
+    assert np.all(np.abs(got[~big]) <= 1e-270)
 
 
 def test_kernel_reports_first_non_finite_step():
@@ -234,11 +250,25 @@ def test_kernel_is_the_scalar_transcription_bit_for_bit(L):
 
 def test_integrate_without_kernel_is_the_numpy_loop(monkeypatch):
     monkeypatch.setattr(_native, "load", lambda: None)
-    config = OdeConfig(dt=1e-3, L=16, sample_stride=7)
-    got = integrate(0.05, 0.5, config)
-    ref = _integrate_numpy(0.05, 0.5, config)
-    assert got.taus.tolist() == ref.taus.tolist()
-    assert np.array_equal(got.P, ref.P)
+    got = integrate(0.05, 0.5, OdeConfig(dt=1e-3, L=16, sample_stride=7))
+    start, out, work = _rk4_arrays(0.5, 16, 1e-3, 7)
+    ref = _run_rk4(_rk4_numpy, 0.05, 0.5, 16, 1e-3, 7, start, out, work)
+    # 500 steps: a sample every 7th step, then the last one
+    assert got.taus.tolist() == [0.0, *(k * 1e-3 for k in range(7, 500, 7)), 500 * 1e-3]
+    assert np.array_equal(got.P[0], start)
+    assert np.array_equal(got.P[1:], ref)
+
+
+@pytest.mark.parametrize("path", ["kernel", "numpy"])
+def test_integrate_raises_on_divergence(monkeypatch, path):
+    # p = 0.99 at dt = 0.01 overflows at step 866 on both paths.
+    if path == "numpy":
+        monkeypatch.setattr(_native, "load", lambda: None)
+    elif _native.load() is None:
+        pytest.skip("no C compiler found, or the kernel could not be built or loaded")
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(IntegrationDivergedError, match=r"at tau = 8\.66 \("):
+            integrate(0.99, 100.0, OdeConfig(dt=0.01, L=200))
 
 
 @pytest.mark.parametrize("tau_end", [math.inf, -math.inf, math.nan, 1e30, 1e308, 2.1e4])
