@@ -160,9 +160,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-_SWEEP_KEYS = {"strategy", "n_list", "p_list", "reps", "max_steps", "master_seed", "init"}
-
-
 def _config_number(key: str, value: object, convert):
     """A JSON number from the sweep config through convert (int or float)."""
     if type(value) not in (int, float):
@@ -183,6 +180,16 @@ def _config_text(key: str, value: object) -> str:
     if not isinstance(value, str):
         raise UsageError(f"sweep config {key} must be a string, got {value!r}")
     return value
+
+
+# Sweep config keys with a SweepConfig default, each with its parser.
+_SWEEP_OPTIONAL = {
+    "reps": lambda key, value: _config_number(key, value, int),
+    "max_steps": lambda key, value: _config_number(key, value, int),
+    "master_seed": lambda key, value: _config_number(key, value, int),
+    "init": lambda key, value: _parse_init(_config_text(key, value)),
+}
+_SWEEP_KEYS = {"strategy", "n_list", "p_list", *_SWEEP_OPTIONAL}
 
 
 @contextlib.contextmanager
@@ -217,10 +224,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             strategy_kind=StrategyKind(_config_text("strategy", raw.get("strategy", "rp"))),
             n_list=_config_numbers("n_list", raw["n_list"], int),
             p_list=_config_numbers("p_list", raw["p_list"], float),
-            reps=_config_number("reps", raw.get("reps", 100), int),
-            max_steps=_config_number("max_steps", raw.get("max_steps", 43_000_000), int),
-            master_seed=_config_number("master_seed", raw.get("master_seed", 0), int),
-            init=_parse_init(_config_text("init", raw.get("init", "all-defect"))),
+            # An absent key takes SweepConfig's default.
+            **{key: parse(key, raw[key]) for key, parse in _SWEEP_OPTIONAL.items() if key in raw},
         )
     except KeyError as exc:
         raise UsageError(f"sweep config is missing {exc}") from exc
@@ -356,7 +361,8 @@ def build_parser() -> _Parser:
         default="all-defect",
         help="all-defect | all-cooperate | single-defector[:POS] | bernoulli:Q (default all-defect)",
     )
-    sim.add_argument("--max-steps", type=int, default=43_000_000, help="step cap (default 43000000)")
+    sim.add_argument("--max-steps", type=int, default=SweepConfig.max_steps,
+                     help=f"step cap (default {SweepConfig.max_steps})")
     sim.add_argument("--seed", type=int, default=0, help="run seed (default 0)")
     sim.add_argument("--trace", default=None, help="write a run-structure CSV to this path")
     sim.add_argument("--trace-every", type=int, default=1000, help="trace sampling stride (default 1000)")

@@ -48,21 +48,22 @@ class MeanFieldState:
     P: np.ndarray  # P_0..P_L
 
 
+# integrate records every this many steps, and the last one.
+SAMPLE_STRIDE = 10
+
+
 @dataclass(frozen=True)
 class OdeConfig:
     """Fixed-step integration settings; the closure is always P_{L+1} = 0."""
 
     dt: float = 1e-3
     L: int = 64
-    sample_stride: int = 10  # record every this many steps
 
     def __post_init__(self) -> None:
         if not 0.0 < self.dt <= 0.01:
             raise ValueError(f"dt must lie in (0, 0.01], got {self.dt}")
         if self.L < 3:
             raise ValueError(f"truncation order L must be >= 3, got {self.L}")
-        if self.sample_stride < 1:
-            raise ValueError(f"sample_stride must be >= 1, got {self.sample_stride}")
 
 
 def rhs(P: np.ndarray, p: float) -> np.ndarray:
@@ -107,7 +108,7 @@ _MAX_SAMPLE_DOUBLES = 2**27
 def integrate(p: float, tau_end: float, config: OdeConfig | None = None) -> Trajectory:
     """Classical fixed-step 4th order integration from the all-defect start.
 
-    Samples every config.sample_stride steps; the final state is always
+    Samples every SAMPLE_STRIDE steps; the final state is always
     included.  Raises ValueError, before any step, when tau_end is not
     finite or its samples would hold more than 2^27 values, and
     IntegrationDivergedError on non-finite values.  The steps run in the
@@ -122,7 +123,7 @@ def integrate(p: float, tau_end: float, config: OdeConfig | None = None) -> Traj
     if not math.isfinite(tau_end) or tau_end < 0.0:
         raise ValueError(f"tau_end must be finite and >= 0, got {tau_end}")
     config = config or OdeConfig()
-    L, dt, stride = config.L, config.dt, config.sample_stride
+    L, dt, stride = config.L, config.dt, SAMPLE_STRIDE
     # The table keeps up to n_steps // stride + 2 samples of L + 1 values.
     quotient = tau_end / dt  # inf when the division overflows
     rows = math.inf if math.isinf(quotient) else int(round(quotient)) // stride + 2
@@ -158,21 +159,23 @@ def _rk4_numpy(
     Takes n_steps from start, writes every stride-th state and the last one
     to the successive rows of out, and returns the first step whose state is
     not finite, else 0.  L is len(start) - 1, and work goes unused: each
-    step allocates its own arrays.
+    step allocates its own arrays.  numpy's overflow and invalid-value
+    warnings are silenced, as the return value reports a divergence.
     """
     P = start.copy()
     row = 0
-    for step in range(1, n_steps + 1):
-        k1 = rhs(P, p)
-        k2 = rhs(P + 0.5 * dt * k1, p)
-        k3 = rhs(P + 0.5 * dt * k2, p)
-        k4 = rhs(P + dt * k3, p)
-        P = P + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(P)):
-            return step
-        if step % stride == 0 or step == n_steps:
-            out[row] = P
-            row += 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, n_steps + 1):
+            k1 = rhs(P, p)
+            k2 = rhs(P + 0.5 * dt * k1, p)
+            k3 = rhs(P + 0.5 * dt * k2, p)
+            k4 = rhs(P + dt * k3, p)
+            P = P + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not np.all(np.isfinite(P)):
+                return step
+            if step % stride == 0 or step == n_steps:
+                out[row] = P
+                row += 1
     return 0
 
 

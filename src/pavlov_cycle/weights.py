@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain, islice
+from itertools import chain, islice
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -272,23 +272,32 @@ class WeightTable:
         )
 
     @cached_property
-    def _split_terms(self) -> tuple[tuple[float, ...], ...]:
-        """Per run length L < n, each (-,-) outcome's summed weight change.
+    def _split_rows(self) -> np.ndarray:
+        """Each (-,-) outcome's weight change over a run's internal edges, per length.
 
-        Entry L holds prob * (prefix[L-1+a] + prefix[L-1+b] - (L-1) * w[L])
-        for each (a, b, prob) of _splits, in order, with prefix[k] = w[0] +
-        ... + w[k-1]; entry 0 is empty.
+        Row i, column L - 1 holds prob * (prefix[L-1+a] + prefix[L-1+b] -
+        (L-1) * w[L]) for the i-th (a, b, prob) of _splits and L = 1..n-1,
+        with prefix[k] = w[0] + ... + w[k-1]: the scalar expression's IEEE
+        operations, in its order.
         """
-        w = self._weights
-        prefix = tuple(accumulate(w, initial=0.0))
-        splits = self._splits
-        return ((),) + tuple(
-            tuple(
-                prob * (prefix[length - 1 + a] + prefix[length - 1 + b] - (length - 1) * w[length])
-                for a, b, prob in splits
-            )
-            for length in range(1, self.n)
-        )
+        w = np.array(self._weights)
+        prefix = np.concatenate(([0.0], np.cumsum(w)))
+        lengths = np.arange(1, self.n)
+        return np.array([
+            prob * (prefix[lengths - 1 + a] + prefix[lengths - 1 + b] - (lengths - 1) * w[lengths])
+            for a, b, prob in self._splits
+        ])
+
+    @cached_property
+    def _split_terms(self) -> tuple[tuple[float, ...], ...]:
+        """_split_rows by run length: entry L holds column L - 1; entry 0 is empty."""
+        return ((),) + tuple(zip(*self._split_rows.tolist()))
+
+    @cached_property
+    def _cycle_term(self) -> float:
+        """Expected weight change of one (-,-) edge update in the all-defect cycle."""
+        w, n = self._weights, self.n
+        return sum(prob * (w[n - 2 + a + b] - w[n]) for a, b, prob in self._splits)
 
     @cached_property
     def _constraints(self) -> ConstraintReport:
@@ -331,10 +340,10 @@ def build_weight_table(kind: StrategyKind | str, p: float, omega: float, n: int)
 class ConstraintReport:
     """Slack of every certificate inequality; nonnegative slack = satisfied.
 
-    singleton covers the growth of an isolated defector, internal the update
-    of an internal edge of a run of each length 2..n-1, nrun the all-defect
-    cycle, and merge the subadditivity w[a] + w[b] >= w[a+b] that prices run
-    merges across a lone cooperator.
+    singleton and internal are n * (bound - expected_next) of the drift of a
+    lone defector run of length 1 and of each length 2..n-1, nrun that of the
+    all-defect cycle, unscaled, and merge the subadditivity w[a] + w[b] >=
+    w[a+b] that prices run merges across a lone cooperator.
     """
 
     singleton_margin: float
@@ -380,45 +389,19 @@ def check_constraints(table: WeightTable) -> ConstraintReport:
 
 
 def _evaluate_constraints(table: WeightTable) -> ConstraintReport:
-    p = table.p
-    omega = table.omega
     n = table.n
-    w = table.weight_array()
-    delta = omega / n
-
-    singleton = -(2.0 * w[2] - (2.0 - omega) * w[1])
-
-    prefix = 0.0  # sum(w[0..l-2])
-    internal = []
-    if table.kind is StrategyKind.RP:
-        c = p * p - 2.0 * p
-        for ell in range(2, n):
-            prefix += w[ell - 2]
-            lhs = (
-                2.0 * w[ell + 1]
-                + 2.0 * p * (2.0 - p) * prefix
-                + 2.0 * p * (1.0 - p) * w[ell - 1]
-                + (ell * c - (c + 2.0) + omega) * w[ell]
-            )
-            internal.append(-lhs)
-        nrun = -(
-            p * p * w[n - 2]
-            + 2.0 * p * (1.0 - p) * w[n - 1]
-            + (p * p - 2.0 * p + delta) * w[n]
-        )
-    else:
-        for ell in range(2, n):
-            prefix += w[ell - 2]
-            lhs = 2.0 * w[ell + 1] + 2.0 * p * prefix + (-p * ell + p - 2.0 + omega) * w[ell]
-            internal.append(-lhs)
-        nrun = -(p * w[n - 2] - p * w[n] + delta * w[n])
+    w = np.array(table._weights)
+    # One run of each length L = 1..n-1: its L - 1 internal edges split it,
+    # and its two rim edges grow it to L + 1.
+    margins = -(2.0 * w[2:] + table._split_rows.sum(axis=0) - (2.0 - table.omega) * w[1:n])
+    singleton, *internal = margins.tolist()
+    nrun = -(table._cycle_term + table.omega / n * table._weights[n])
 
     # min over 1 <= l1 <= l2, l1 + l2 <= n of w[l1] + w[l2] - w[l1 + l2], one
     # row of l2 at a time: the same IEEE operations as a scalar double loop.
-    wa = np.asarray(w)
     merge = math.inf
     for l1 in range(1, n // 2 + 1):
-        merge = min(merge, float((wa[l1] + wa[l1 : n - l1 + 1] - wa[2 * l1 : n + 1]).min()))
+        merge = min(merge, float((w[l1] + w[l1 : n - l1 + 1] - w[2 * l1 : n + 1]).min()))
 
     return ConstraintReport(
         singleton_margin=singleton,
@@ -483,7 +466,7 @@ def one_step_drift(state: CycleState, table: WeightTable) -> DriftReport:
         return DriftReport(0.0, 0.0, 0.0, True)
     w0 = sum(map(w.__getitem__, minus))
     if not plus:  # the all-defect cycle
-        change = n * sum(prob * (w[n - 2 + a + b] - w[n]) for a, b, prob in table._splits)
+        change = n * table._cycle_term
     else:
         change = sum(chain.from_iterable(map(table._split_terms.__getitem__, minus)))
         m = len(minus)
@@ -541,9 +524,9 @@ def min_feasible_p(kind: StrategyKind | str, omega: float, n: int, tol: float = 
 def weight_table_rows(table: WeightTable) -> list[tuple[int, float | None, float, float]]:
     """Rows (ell, raw weight or None, w(ell), constraint slack at ell).
 
-    The slack column maps run length to the inequality that mentions it:
-    length 1 gets the singleton slack, 2..n-1 the internal slack, n the
-    whole-cycle slack.
+    The slack column is minus the one-step drift of a lone defector run of
+    that length, as ConstraintReport scales it: length 1 gets the singleton
+    slack, 2..n-1 the internal slack, n the whole-cycle slack.
     """
     report = check_constraints(table)
     rows = []

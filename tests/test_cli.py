@@ -570,9 +570,8 @@ def test_meanfield_divergence_exits_1_without_traceback(path):
     # IntegrationDivergedError is a RuntimeError, which main once let through.
     proc = run_meanfield_child(path, "--p", "0.99", "--tau-end", "100", "--dt", "0.01", "--L", "200")
     assert proc.returncode == 1
-    assert "Traceback" not in proc.stderr
-    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
-    assert errors == ["error: non-finite values at tau = 8.66 (p = 0.99, L = 200, dt = 0.01)"]
+    # Only that line: on the numpy path numpy's overflow warnings must not reach stderr.
+    assert proc.stderr == "error: non-finite values at tau = 8.66 (p = 0.99, L = 200, dt = 0.01)\n"
     assert proc.stdout == ""
 
 

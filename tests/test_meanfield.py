@@ -10,6 +10,7 @@ from pavlov_cycle import _native
 from pavlov_cycle.dynamics import AllDefect, Strategy, advance, new_state
 from pavlov_cycle.experiments import derive_seed
 from pavlov_cycle.meanfield import (
+    SAMPLE_STRIDE,
     IntegrationDivergedError,
     OdeConfig,
     RegimeError,
@@ -136,7 +137,7 @@ def test_step_robustness_halving_dt():
 # ---------------------------------------------------------------------------
 # compiled kernel against the numpy reference loop
 
-# (p, tau_end, L, dt, sample_stride): tau_end = 0, end times off the sample
+# (p, tau_end, L, dt, stride): tau_end = 0, end times off the sample
 # grid, and the smallest and a large truncation order.
 KERNEL_GRID = [
     (0.3, 0.0, 8, 1e-3, 10),
@@ -250,11 +251,12 @@ def test_kernel_is_the_scalar_transcription_bit_for_bit(L):
 
 def test_integrate_without_kernel_is_the_numpy_loop(monkeypatch):
     monkeypatch.setattr(_native, "load", lambda: None)
-    got = integrate(0.05, 0.5, OdeConfig(dt=1e-3, L=16, sample_stride=7))
-    start, out, work = _rk4_arrays(0.5, 16, 1e-3, 7)
-    ref = _run_rk4(_rk4_numpy, 0.05, 0.5, 16, 1e-3, 7, start, out, work)
-    # 500 steps: a sample every 7th step, then the last one
-    assert got.taus.tolist() == [0.0, *(k * 1e-3 for k in range(7, 500, 7)), 500 * 1e-3]
+    got = integrate(0.05, 0.505, OdeConfig(dt=1e-3, L=16))
+    start, out, work = _rk4_arrays(0.505, 16, 1e-3, SAMPLE_STRIDE)
+    ref = _run_rk4(_rk4_numpy, 0.05, 0.505, 16, 1e-3, SAMPLE_STRIDE, start, out, work)
+    # 505 steps: a sample every 10th step, then the last one, off the grid
+    assert SAMPLE_STRIDE == 10
+    assert got.taus.tolist() == [0.0, *(k * 1e-3 for k in range(10, 505, 10)), 505 * 1e-3]
     assert np.array_equal(got.P[0], start)
     assert np.array_equal(got.P[1:], ref)
 
@@ -266,9 +268,8 @@ def test_integrate_raises_on_divergence(monkeypatch, path):
         monkeypatch.setattr(_native, "load", lambda: None)
     elif _native.load() is None:
         pytest.skip("no C compiler found, or the kernel could not be built or loaded")
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(IntegrationDivergedError, match=r"at tau = 8\.66 \("):
-            integrate(0.99, 100.0, OdeConfig(dt=0.01, L=200))
+    with pytest.raises(IntegrationDivergedError, match=r"at tau = 8\.66 \("):
+        integrate(0.99, 100.0, OdeConfig(dt=0.01, L=200))
 
 
 @pytest.mark.parametrize("tau_end", [math.inf, -math.inf, math.nan, 1e30, 1e308, 2.1e4])
@@ -280,7 +281,7 @@ def test_integrate_rejects_unbounded_tau_end_before_any_work(monkeypatch, tau_en
 
     monkeypatch.setattr(_native, "load", no_load)
     with pytest.raises(ValueError, match="finite|sample table"):
-        integrate(0.01, tau_end, OdeConfig(dt=1e-3, L=64, sample_stride=10))
+        integrate(0.01, tau_end, OdeConfig(dt=1e-3, L=64))
 
 
 NO_CC = shutil.which("cc") is None

@@ -406,6 +406,100 @@ def test_merge_margin_equals_double_loop(n):
                 assert type(got) is float
 
 
+def _constraints_by_formula(table):
+    """Reference: the singleton, internal and whole-cycle inequalities as rp and srp algebra.
+
+    The (-,-) branch probabilities are multiplied out by hand for each
+    strategy kind.  The merge margin reads no branch probability and is the
+    table's own, which test_merge_margin_equals_double_loop checks.
+    """
+    p = table.p
+    omega = table.omega
+    n = table.n
+    w = table.weight_array()
+    delta = omega / n
+
+    singleton = -(2.0 * w[2] - (2.0 - omega) * w[1])
+
+    prefix = 0.0  # sum(w[0..l-2])
+    internal = []
+    if table.kind is StrategyKind.RP:
+        c = p * p - 2.0 * p
+        for ell in range(2, n):
+            prefix += w[ell - 2]
+            lhs = (
+                2.0 * w[ell + 1]
+                + 2.0 * p * (2.0 - p) * prefix
+                + 2.0 * p * (1.0 - p) * w[ell - 1]
+                + (ell * c - (c + 2.0) + omega) * w[ell]
+            )
+            internal.append(-lhs)
+        nrun = -(
+            p * p * w[n - 2]
+            + 2.0 * p * (1.0 - p) * w[n - 1]
+            + (p * p - 2.0 * p + delta) * w[n]
+        )
+    else:
+        for ell in range(2, n):
+            prefix += w[ell - 2]
+            lhs = 2.0 * w[ell + 1] + 2.0 * p * prefix + (-p * ell + p - 2.0 + omega) * w[ell]
+            internal.append(-lhs)
+        nrun = -(p * w[n - 2] - p * w[n] + delta * w[n])
+
+    return weights.ConstraintReport(
+        singleton_margin=singleton,
+        internal_margins=tuple(internal),
+        nrun_margin=nrun,
+        merge_margin=check_constraints(table).merge_margin,
+    )
+
+
+def _formula_tables(n):
+    grid = [k / 100 for k in range(101)]
+    for kind, ps in (("rp", grid), ("srp", grid), ("pavlov", [1.0])):
+        for p in ps:
+            for omega in (0.0, 1e-4, 1e-2):
+                try:
+                    yield build_weight_table(kind, p, omega, n)
+                except InfeasibleParameterError:
+                    pass
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 100, 1001])
+def test_constraints_match_the_per_kind_formulas(n):
+    # The margins come from the drift's split terms; the closed forms add the
+    # same terms in another order, so only the last digits may differ.
+    checked = 0
+    for table in _formula_tables(n):
+        got = check_constraints(table)
+        want = _constraints_by_formula(table)
+        where = (table.kind.value, table.p, table.omega)
+        for flag in ("feasible", "singleton_ok", "internal_ok", "nrun_ok", "merge_ok"):
+            assert getattr(got, flag) == getattr(want, flag), (flag, where)
+        assert got.singleton_margin.hex() == want.singleton_margin.hex(), where
+        scale = 1e-13 * sum(map(abs, table.weight_array()))
+        assert len(got.internal_margins) == len(want.internal_margins) == n - 2
+        pairs = zip((got.nrun_margin, *got.internal_margins), (want.nrun_margin, *want.internal_margins))
+        for a, b in pairs:
+            assert type(a) is float and abs(a - b) <= scale, where
+        checked += 1
+    assert checked > 100
+
+
+@pytest.mark.parametrize("kind, p, omega", [("rp", 0.9, 1e-2), ("rp", 1.0, 0.0), ("srp", 0.8, 1e-4)])
+def test_margins_are_the_drift_of_the_states_they_stand_for(kind, p, omega):
+    # One defector run of length L < n: margin = n * (bound - expected_next);
+    # the all-defect cycle: nrun margin = bound - expected_next.
+    n = 12
+    table = build_weight_table(kind, p, omega, n)
+    report = check_constraints(table)
+    for ell, margin in enumerate((report.singleton_margin, *report.internal_margins), start=1):
+        drift = one_step_drift(new_state(n, Explicit((-1,) * ell + (1,) * (n - ell)), 0), table)
+        assert margin == pytest.approx(n * (drift.bound - drift.expected_next), abs=1e-12), ell
+    drift = one_step_drift(new_state(n, Explicit((-1,) * n), 0), table)
+    assert report.nrun_margin == pytest.approx(drift.bound - drift.expected_next, abs=1e-12)
+
+
 def test_constraint_report_computed_once_per_table(monkeypatch, tmp_path):
     real = weights._evaluate_constraints
     evaluated = []
