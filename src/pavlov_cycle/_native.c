@@ -1,13 +1,13 @@
 /* Fixed-step RK4 of the truncated mean-field hierarchy (see meanfield.py).
  *
- * Mirrors meanfield._rk4_numpy term for term: the right-hand side adds
- * its terms in the order rhs does, the stage points are P + (0.5 dt) k, and
- * the update is P + (dt/6)(((k1 + 2 k2) + 2 k3) + k4).  Only the convolution
- * sums are formed differently: conv_m = sum_{k=0}^{m} P_k P_{m-k} is
- * symmetric in k and m - k, so it is summed over k < m - k in ascending k,
- * doubled, and, for even m, given the middle square P_{m/2}^2 last.  That
- * halves the multiply-adds and moves P_3 and beyond by rounding; P_0..P_2
- * never read it.
+ * Mirrors meanfield._rk4_numpy term for term, so the two give the same
+ * bits: the right-hand side adds its terms in the order rhs does, the stage
+ * points are P + (0.5 dt) k, and the update is
+ * P + (dt/6)(((k1 + 2 k2) + 2 k3) + k4).  Both form the convolution sums
+ * alike: conv_m = sum_{k=0}^{m} P_k P_{m-k} is symmetric in k and m - k, so
+ * it is summed over k < m - k in ascending k from 0.0, doubled, and, for
+ * even m, given the middle square P_{m/2}^2 last.  That halves the
+ * multiply-adds.
  *
  * Built by _native.py with -O2 -ffp-contract=off and no -ffast-math, so no
  * multiply-add is fused and the IEEE operations are the ones written here.

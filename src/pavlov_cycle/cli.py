@@ -320,7 +320,7 @@ def cmd_meanfield(args: argparse.Namespace) -> int:
         f"P2={float(final.P[2])!r}\n"
         f"max|P012-closed_form|={dev!r} |sum-closed_total|={abs(float(final.P.sum()) - y)!r}\n"
         f"max_tail_sum={report.max_tail_sum!r} (threshold {report.threshold!r}) "
-        f"gamma={report.fit.gamma!r} ratio={report.fit.ratio!r}"
+        f"gamma={report.gamma!r} ratio={report.ratio!r}"
     )
     return 0
 

@@ -23,6 +23,7 @@ o(p^2); tail_check measures this on every trajectory.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,8 +43,6 @@ class RegimeError(ValueError):
 
 @dataclass(frozen=True)
 class MeanFieldState:
-    p: float
-    L: int
     tau: float
     P: np.ndarray  # P_0..P_L
 
@@ -66,18 +65,35 @@ class OdeConfig:
             raise ValueError(f"truncation order L must be >= 3, got {self.L}")
 
 
+@functools.cache
+def _half_sum_index(L: int) -> np.ndarray:
+    """Index of P_{m-k} at row k, column m = 0..L-2 where k < m - k, else of
+    the closure P_{L+1} = 0; (L-1)//2 rows hold every term rhs's sums add."""
+    k = np.arange((L - 1) // 2)[:, None]
+    m = np.arange(L - 1)
+    return np.where(2 * k < m, m - k, L + 1)
+
+
 def rhs(P: np.ndarray, p: float) -> np.ndarray:
-    """Time derivative of the truncated hierarchy at P_0..P_L."""
+    """Time derivative of the truncated hierarchy at P_0..P_L.
+
+    Forms conv_m = sum_{k=0}^{m} P_k P_{m-k} as _native.c does, so both RK4
+    loops give the same bits: the products over k < m - k added from 0.0 in
+    ascending k (a sum down axis 0 adds row after row; the zero products
+    that pad a column change no sum), doubled, plus P_{m/2}^2 for even m.
+    """
     L = len(P) - 1
     dP = np.empty_like(P)
     dP[0] = -(1.0 + 5.0 * p - 2.0 * p * p) * P[0] + P[1] + 1.0
     dP[1] = -2.0 * P[1] + 2.0 * P[2] + 2.0 * p * (1.0 - p) * P[0]
-    shifted = np.zeros(L - 1)
-    shifted[: L - 2] = P[3:]
-    conv = np.convolve(P, P)[: L - 1]  # conv[l-2] = sum_k P_k P_{l-2-k}
+    padded = np.append(P, 0.0)  # the closure P_{L+1} = 0
+    terms = padded[_half_sum_index(L)]
+    terms *= P[: len(terms), None]
+    conv = 2.0 * terms.sum(axis=0, initial=0.0)  # conv[l-2] = sum_k P_k P_{l-2-k}
+    conv[::2] += P[: L // 2] * P[: L // 2]
     dP[2:] = (
         -2.0 * P[2:]
-        + 2.0 * shifted
+        + 2.0 * padded[3:]
         + 2.0 * p * (1.0 - p) * P[1:-1] * P[0]
         + p * p * conv
     )
@@ -94,15 +110,15 @@ class Trajectory:
     def state_at(self, tau: float) -> MeanFieldState:
         """Sampled state nearest to tau (exact when tau sits on the sample grid)."""
         idx = int(np.argmin(np.abs(self.taus - tau)))
-        return MeanFieldState(p=self.p, L=self.L, tau=float(self.taus[idx]), P=self.P[idx])
+        return MeanFieldState(tau=float(self.taus[idx]), P=self.P[idx])
 
     def tail_sums(self) -> np.ndarray:
         """sum_{l>=3} P_l at every sampled time."""
         return self.P[:, 3:].sum(axis=1)
 
 
-# Largest sample table integrate will fill, in float64 values (1 GiB).
-_MAX_SAMPLE_DOUBLES = 2**27
+# Most float64 values integrate may hold: samples plus rhs's half-sum products (1 GiB).
+_MAX_TABLE_DOUBLES = 2**27
 
 
 def integrate(p: float, tau_end: float, config: OdeConfig | None = None) -> Trajectory:
@@ -110,13 +126,11 @@ def integrate(p: float, tau_end: float, config: OdeConfig | None = None) -> Traj
 
     Samples every SAMPLE_STRIDE steps; the final state is always
     included.  Raises ValueError, before any step, when tau_end is not
-    finite or its samples would hold more than 2^27 values, and
-    IntegrationDivergedError on non-finite values.  The steps run in the
-    compiled kernel mf_rk4 of _native.c when it can be built, else in
-    _rk4_numpy; both fill the same sample table and the two agree to
-    rounding in the convolution sums.  The kernel forms each
-    conv_m = sum_{k=0}^{m} P_k P_{m-k} from half its terms: the sum over
-    k < m - k in ascending k, doubled, plus P_{m/2}^2 when m is even.
+    finite or the samples and rhs's (L-1)//2 x (L-1) half-sum products
+    would hold more than 2^27 values (so L above about 16 000 is refused on
+    either path), and IntegrationDivergedError on non-finite values.  The
+    steps run in the compiled kernel mf_rk4 of _native.c when it can be
+    built, else in _rk4_numpy; both fill the sample table with the same bits.
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie in (0, 1), got {p}")
@@ -127,10 +141,12 @@ def integrate(p: float, tau_end: float, config: OdeConfig | None = None) -> Traj
     # The table keeps up to n_steps // stride + 2 samples of L + 1 values.
     quotient = tau_end / dt  # inf when the division overflows
     rows = math.inf if math.isinf(quotient) else int(round(quotient)) // stride + 2
-    if rows * (L + 1) > _MAX_SAMPLE_DOUBLES:
+    products = (L - 1) // 2 * (L - 1)
+    if rows * (L + 1) + products > _MAX_TABLE_DOUBLES:
         raise ValueError(
-            f"tau_end = {tau_end:g} at dt = {dt:g} needs a sample table of {rows:g} x {L + 1} "
-            f"doubles, more than the limit of {_MAX_SAMPLE_DOUBLES}"
+            f"tau_end = {tau_end:g} at dt = {dt:g} and L = {L} needs a sample table of "
+            f"{rows:g} x {L + 1} doubles and {products} half-sum products, more than the "
+            f"limit of {_MAX_TABLE_DOUBLES}"
         )
     lib = _native.load()
     rk4 = _rk4_numpy if lib is None else lib.mf_rk4
@@ -158,9 +174,10 @@ def _rk4_numpy(
 
     Takes n_steps from start, writes every stride-th state and the last one
     to the successive rows of out, and returns the first step whose state is
-    not finite, else 0.  L is len(start) - 1, and work goes unused: each
-    step allocates its own arrays.  numpy's overflow and invalid-value
-    warnings are silenced, as the return value reports a divergence.
+    not finite, else 0: mf_rk4's bits, as every line adds in its order.  L
+    is len(start) - 1, and work goes unused: each step allocates its own
+    arrays.  numpy's overflow and invalid-value warnings are silenced, as
+    the return value reports a divergence.
     """
     P = start.copy()
     row = 0
@@ -279,14 +296,9 @@ def eigenvalue_check(p: float) -> EigenCheck:
 
 
 @dataclass(frozen=True)
-class TailFit:
+class TailReport:
     gamma: float  # smallest prefactor making P_l <= gamma / (1+p^3)^l on the data
     ratio: float  # fitted geometric ratio of P_l in l
-
-
-@dataclass(frozen=True)
-class TailReport:
-    fit: TailFit
     max_tail_sum: float  # max over sampled tau of sum_{l>=3} P_l
     threshold: float  # the concrete check level 0.5 p^2
     sum_ok: bool
@@ -324,7 +336,8 @@ def tail_check(trajectory: Trajectory) -> TailReport:
     else:
         ratio = 0.0
     return TailReport(
-        fit=TailFit(gamma=gamma, ratio=ratio),
+        gamma=gamma,
+        ratio=ratio,
         max_tail_sum=max_tail,
         threshold=threshold,
         sum_ok=max_tail < threshold,

@@ -7,7 +7,7 @@ import tracemalloc
 import pytest
 
 import pavlov_cycle
-from pavlov_cycle import cli
+from pavlov_cycle import _native, cli
 from pavlov_cycle.cli import main
 from pavlov_cycle.dynamics import advance
 from pavlov_cycle.weights import MARGIN_TOL
@@ -573,6 +573,22 @@ def test_meanfield_divergence_exits_1_without_traceback(path):
     # Only that line: on the numpy path numpy's overflow warnings must not reach stderr.
     assert proc.stderr == "error: non-finite values at tau = 8.66 (p = 0.99, L = 200, dt = 0.01)\n"
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "options",
+    [("--p", "0.02", "--tau-end", "1", "--L", "16"), ("--p", "0.05", "--tau-end", "10", "--csv-cols", "64")],
+    ids=["L16", "csv-cols-64"],
+)
+def test_meanfield_files_are_the_same_with_or_without_the_kernel(tmp_path, options):
+    if _native.load() is None:
+        pytest.skip("no C compiler found, or the kernel could not be built or loaded")
+    kernel, numpy = (
+        run_meanfield_child(path, *options, "--out", str(tmp_path / path)) for path in ("kernel", "numpy")
+    )
+    assert (kernel.returncode, numpy.returncode) == (0, 0), kernel.stderr + numpy.stderr
+    assert kernel.stdout == numpy.stdout
+    assert (tmp_path / "kernel").read_bytes() == (tmp_path / "numpy").read_bytes()
 
 
 def test_defect_time_output(capsys):

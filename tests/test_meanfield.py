@@ -148,6 +148,15 @@ KERNEL_GRID = [
     (0.005, 0.25, 5, 1e-3, 1000),
 ]
 
+# Then 50 steps from four random starts per L, at p and dt large enough
+# that a one-ulp change in a convolution sum reaches P.  The kernel forms
+# four half-sums at a time: L = 3..13 put even and odd m in the remainder
+# after zero to three blocks of four; 64 (as in certify), 65 and 200 run many.
+KERNEL_CASES = [pytest.param(*case, (None,), id="-".join(map(str, case))) for case in KERNEL_GRID] + [
+    pytest.param(0.9, 5.0, L, 0.1, 1, range(4), id=f"random-start-L{L}")
+    for L in (3, 4, 5, 6, 7, 9, 13, 64, 65, 200)
+]
+
 
 def _run_rk4(rk4, p, tau_end, L, dt, stride, start, out, work):
     """Call one of the two RK4 loops as integrate does; a copy of out."""
@@ -156,29 +165,31 @@ def _run_rk4(rk4, p, tau_end, L, dt, stride, start, out, work):
     return out.copy()
 
 
-def _rk4_arrays(tau_end, L, dt, stride):
-    """The all-defect start, an out table of integrate's shape and a work array."""
+def _rk4_arrays(tau_end, L, dt, stride, seed=None):
+    """The all-defect start (for a seed, a random distribution), an out
+    table of integrate's shape and a work array."""
     n_steps = int(round(tau_end / dt))
-    start = np.zeros(L + 1)
-    start[0] = 1.0
+    if seed is None:
+        start = np.zeros(L + 1)
+        start[0] = 1.0
+    else:
+        start = np.random.default_rng([L, seed]).uniform(0.05, 1.0, L + 1)
+        start /= start.sum()  # a distribution, so the steps stay finite
     out = np.empty((-(-n_steps // stride), L + 1))
     return start, out, np.empty(6 * (L + 1))
 
 
-@pytest.mark.parametrize("p, tau_end, L, dt, stride", KERNEL_GRID)
-def test_kernel_matches_numpy_loop(p, tau_end, L, dt, stride):
+@pytest.mark.parametrize("p, tau_end, L, dt, stride, seeds", KERNEL_CASES)
+def test_kernel_matches_numpy_loop(p, tau_end, L, dt, stride, seeds):
+    # Every P_l, bit for bit: rhs adds each convolution sum in the kernel's order.
     lib = _native.load()
     if lib is None:
         pytest.skip("no C compiler found, or the kernel could not be built or loaded")
-    arrays = _rk4_arrays(tau_end, L, dt, stride)
-    got = _run_rk4(lib.mf_rk4, p, tau_end, L, dt, stride, *arrays)
-    ref = _run_rk4(_rk4_numpy, p, tau_end, L, dt, stride, *arrays)
-    # P_0..P_2 never read a convolution sum of more than one term, so they
-    # match bit for bit; the longer sums may be added in another order.
-    assert np.array_equal(got[:, :3], ref[:, :3])
-    big = np.abs(ref) > 1e-280
-    np.testing.assert_allclose(got[big], ref[big], rtol=1e-12, atol=0.0)
-    assert np.all(np.abs(got[~big]) <= 1e-270)
+    for seed in seeds:
+        arrays = _rk4_arrays(tau_end, L, dt, stride, seed)
+        got = _run_rk4(lib.mf_rk4, p, tau_end, L, dt, stride, *arrays)
+        ref = _run_rk4(_rk4_numpy, p, tau_end, L, dt, stride, *arrays)
+        assert got.tobytes() == ref.tobytes(), seed
 
 
 def test_kernel_reports_first_non_finite_step():
@@ -193,60 +204,6 @@ def test_kernel_reports_first_non_finite_step():
     assert lib.mf_rk4(0.5, 1e-3, 3, 1, L, start, out, work) == 0
     start[3] = 1e300  # overflows within the first step
     assert lib.mf_rk4(0.5, 1e-3, 3, 1, L, start, out, work) == 1
-
-
-def _scalar_rk4_rows(start, p, dt, n_steps, L):
-    """_native.c's rhs and RK4 update, one Python float operation per C one."""
-    c0 = 1.0 + 5.0 * p - 2.0 * p * p
-    c1 = 2.0 * p * (1.0 - p)
-    c2 = p * p
-
-    def rhs_c(P):
-        dP = [-c0 * P[0] + P[1] + 1.0, -2.0 * P[1] + 2.0 * P[2] + c1 * P[0]]
-        for ell in range(2, L + 1):
-            m = ell - 2
-            half = 0.0
-            for k in range((m + 1) // 2):  # k < m - k, ascending
-                half += P[k] * P[m - k]
-            conv = 2.0 * half
-            if m % 2 == 0:
-                conv += P[m // 2] * P[m // 2]
-            nxt = P[ell + 1] if ell < L else 0.0
-            dP.append(-2.0 * P[ell] + 2.0 * nxt + c1 * P[ell - 1] * P[0] + c2 * conv)
-        return dP
-
-    half, sixth = 0.5 * dt, dt / 6.0
-    P = list(start)
-    rows = []
-    for _ in range(n_steps):
-        k1 = rhs_c(P)
-        k2 = rhs_c([a + half * b for a, b in zip(P, k1)])
-        k3 = rhs_c([a + half * b for a, b in zip(P, k2)])
-        k4 = rhs_c([a + dt * b for a, b in zip(P, k3)])
-        P = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4) for a, b1, b2, b3, b4 in zip(P, k1, k2, k3, k4)]
-        rows.append(P)
-    return rows
-
-
-@pytest.mark.parametrize("L", [3, 4, 5, 6, 7, 9, 13, 64])
-def test_kernel_is_the_scalar_transcription_bit_for_bit(L):
-    # Pins every P_l, not just P_0..P_2: the kernel computes four convolution
-    # half-sums at a time, and each must still add its terms in ascending k,
-    # then double, then add the middle square when m is even.  The grid puts
-    # even and odd m in the one-at-a-time remainder after zero to three
-    # blocks of four, and L = 64, the size certify integrates, runs 15.
-    lib = _native.load()
-    if lib is None:
-        pytest.skip("no C compiler found, or the kernel could not be built or loaded")
-    # Large p and dt so that a one-ulp change in a convolution sum reaches P.
-    p, dt, n_steps = 0.9, 0.1, 50
-    work = np.empty(6 * (L + 1))
-    for seed in range(4):
-        start = np.random.default_rng([L, seed]).uniform(0.05, 1.0, L + 1)
-        start /= start.sum()  # a distribution, so the 50 steps stay finite
-        out = np.zeros((n_steps, L + 1))
-        assert lib.mf_rk4(p, dt, n_steps, 1, L, start, out, work) == 0
-        assert out.tolist() == _scalar_rk4_rows(start.tolist(), p, dt, n_steps, L), seed
 
 
 def test_integrate_without_kernel_is_the_numpy_loop(monkeypatch):
@@ -272,16 +229,25 @@ def test_integrate_raises_on_divergence(monkeypatch, path):
         integrate(0.99, 100.0, OdeConfig(dt=0.01, L=200))
 
 
+def _no_load():
+    raise AssertionError("the kernel was loaded before the arguments were checked")
+
+
 @pytest.mark.parametrize("tau_end", [math.inf, -math.inf, math.nan, 1e30, 1e308, 2.1e4])
 def test_integrate_rejects_unbounded_tau_end_before_any_work(monkeypatch, tau_end):
     # 2.1e4 at dt = 1e-3, stride 10 and L = 64 asks for 2.1e6 rows of 65
     # values, just above the 2^27 limit.
-    def no_load():
-        raise AssertionError("the kernel was loaded before tau_end was checked")
-
-    monkeypatch.setattr(_native, "load", no_load)
+    monkeypatch.setattr(_native, "load", _no_load)
     with pytest.raises(ValueError, match="finite|sample table"):
         integrate(0.01, tau_end, OdeConfig(dt=1e-3, L=64))
+
+
+def test_integrate_rejects_a_half_sum_table_beyond_the_cap_before_any_work(monkeypatch):
+    # rhs's half-sum products grow as L^2 / 2: 9999 x 19999 of them at
+    # L = 20 000, above the 2^27 limit even with no step to take.
+    monkeypatch.setattr(_native, "load", _no_load)
+    with pytest.raises(ValueError, match="199970001 half-sum products"):
+        integrate(0.01, 0.0, OdeConfig(L=20_000))
 
 
 NO_CC = shutil.which("cc") is None
@@ -409,8 +375,8 @@ def test_tail_is_monotone_and_geometric():
         assert st.P[ell] > st.P[ell + 1]
     rep = tail_check(traj)
     assert rep.decay_ok
-    assert 0.0 < rep.fit.ratio < 1.0 / (1.0 + 0.01**3)
-    assert rep.fit.gamma > 0.0
+    assert 0.0 < rep.ratio < 1.0 / (1.0 + 0.01**3)
+    assert rep.gamma > 0.0
 
 
 def test_tail_zero_at_start():
@@ -424,7 +390,7 @@ def test_paper_style_tail_envelope_holds_with_fitted_gamma():
     base = 1.0 + 0.02**3
     for i in range(len(traj.taus)):
         for ell in range(3, 49):
-            assert traj.P[i, ell] <= rep.fit.gamma / base**ell * (1 + 1e-12)
+            assert traj.P[i, ell] <= rep.gamma / base**ell * (1 + 1e-12)
 
 
 # ---------------------------------------------------------------------------
