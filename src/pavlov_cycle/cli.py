@@ -132,11 +132,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.trace:
         # Each row goes to disk as it is made, so memory does not grow with the run.
         def snapshot(out: TextIO) -> None:
-            _, sign, lengths = run_lengths(state.states)
-            # Runs alternate in sign from the first one.
-            minus, plus = lengths[0::2], lengths[1::2]
-            if sign == 1:
-                minus, plus = plus, minus
+            _, minus, plus = run_lengths(state.states)
             out.write(
                 f"{state.step_count},{state.minus_count},{state.cooperator_fraction()!r},"
                 f"{len(minus)},{len(plus)},{max(minus, default=0)},{max(plus, default=0)}\n"
@@ -161,13 +157,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _config_number(key: str, value: object, convert):
-    """A JSON number from the sweep config through convert (int or float)."""
+    """A JSON number from the sweep config through convert (int or float).
+
+    An integer key takes an integral number, such as 1e4, and refuses 10.7,
+    NaN or infinity rather than truncate it.
+    """
     if type(value) not in (int, float):
         raise UsageError(f"sweep config {key} must be a number, got {value!r}")
-    try:
-        return convert(value)
-    except OverflowError as exc:  # int() of an infinite float
-        raise UsageError(f"sweep config {key}: {exc}") from exc
+    if convert is int and isinstance(value, float) and not value.is_integer():
+        raise UsageError(f"sweep config {key} must be an integral number, got {value!r}")
+    return convert(value)
 
 
 def _config_numbers(key: str, value: object, convert) -> tuple:

@@ -439,22 +439,25 @@ def run_until_absorbed(
 # run structure
 
 
-def run_lengths(states: Sequence[int]) -> tuple[int, int, list[int]]:
-    """The cycle's maximal runs from one scan of its boundaries.
+def run_lengths(states: Sequence[int]) -> tuple[int, list[int], list[int]]:
+    """The cycle's defector and cooperator run lengths from one scan of its boundaries.
 
-    Returns (start, sign, lengths).  start is the first boundary, the
+    Returns (sign, minus, plus).  The scan starts at the first boundary, the
     lowest i with states[i] != states[i - 1], and sign is the state there.
-    lengths lists every run from start around the cycle: signs alternate
-    from one run to the next, and the last run wraps past n - 1.  A uniform
-    cycle is the one run (0, states[0], [n]).
+    minus and plus list the defector and cooperator run lengths in
+    increasing start order from that boundary; the last run wraps past
+    n - 1.  A uniform cycle is the one run (-1, [n], []) or (1, [], [n]).
     """
     n = len(states)
-    # states[i - 1] for every i, in order: a boundary is where the two differ
-    starts = list(itertools.compress(range(n), map(operator.ne, states, [states[-1], *states])))
-    if not starts:
-        return 0, states[0], [n]
+    # states[i - 1] for every i, in order: a boundary is where the two differ;
+    # a uniform cycle has none and is one run from 0
+    starts = list(itertools.compress(range(n), map(operator.ne, states, [states[-1], *states]))) or [0]
     first = starts[0]
     ends = starts[1:]
     ends.append(first + n)
-    return first, states[first], list(map(operator.sub, ends, starts))
-
+    lengths = list(map(operator.sub, ends, starts))
+    # Runs alternate in sign from the first one.
+    sign = states[first]
+    if sign == -1:
+        return sign, lengths[0::2], lengths[1::2]
+    return sign, lengths[1::2], lengths[0::2]

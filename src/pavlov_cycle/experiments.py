@@ -63,19 +63,20 @@ class SweepConfig:
     init: InitConfig = field(default_factory=AllDefect)
 
     def __post_init__(self) -> None:
+        # n first: defect_time_experiment derives max_steps from it.
+        if not self.n_list:
+            raise ValueError("n_list must not be empty")
+        for n in self.n_list:
+            if n < 3:
+                raise ValueError(f"every n must be >= 3, got {n}")
+        if not self.p_list:
+            raise ValueError("p_list must not be empty")
+        for p in self.p_list:
+            Strategy(self.strategy_kind, p)
         if self.reps < 1:
             raise ValueError(f"reps must be >= 1, got {self.reps}")
         if self.max_steps < 1:
             raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
-        if not self.n_list:
-            raise ValueError("n_list must not be empty")
-        if not self.p_list:
-            raise ValueError("p_list must not be empty")
-        for n in self.n_list:
-            if n < 3:
-                raise ValueError(f"every n must be >= 3, got {n}")
-        for p in self.p_list:
-            Strategy(self.strategy_kind, p)
 
 
 @dataclass(frozen=True)
@@ -215,19 +216,14 @@ _BAND_CONSTANT = 3.0  # DefectTimeStats.deviation_band = constant * n^1.5 * log 
 
 
 def defect_time_experiment(n: int, reps: int, master_seed: int) -> DefectTimeStats:
-    if n < 3:
-        raise ValueError(f"need n >= 3, got {n}")
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
-    strategy = Strategy.rp(0.0)
-    cap = 1000 * n * n  # expected time is n(n-1)/2; this cap is never hit in practice
+    """reps runs of the rp sweep cell (n, p = 0) from one defector; rep r is seeded as in run_sweep."""
+    # The expected time is n(n-1)/2; the cap 1000 n^2 is never hit in practice.
+    config = SweepConfig(StrategyKind.RP, (n,), (0.0,), reps, 1000 * n * n, master_seed, SingleDefector(0))
     times = []
-    for rep in range(reps):
-        seed = derive_seed(master_seed, 0, 0, rep)
-        res = run_until_absorbed(n, SingleDefector(0), strategy, seed, cap)
-        if res.outcome is not Outcome.ALL_MINUS:
-            raise RuntimeError(f"defect-time run did not absorb (n={n}, rep={rep})")
-        times.append(res.steps_taken)
+    for rec in _run_block((config, 0, 0, 0, reps)):
+        if rec.outcome is not Outcome.ALL_MINUS:
+            raise RuntimeError(f"defect-time run did not absorb (n={n}, rep={rec.rep})")
+        times.append(rec.steps)
     return DefectTimeStats(
         n=n,
         reps=reps,

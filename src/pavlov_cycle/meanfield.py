@@ -23,7 +23,6 @@ o(p^2); tail_check measures this on every trajectory.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -65,17 +64,20 @@ class OdeConfig:
             raise ValueError(f"truncation order L must be >= 3, got {self.L}")
 
 
-@functools.cache
 def _half_sum_index(L: int) -> np.ndarray:
     """Index of P_{m-k} at row k, column m = 0..L-2 where k < m - k, else of
-    the closure P_{L+1} = 0; (L-1)//2 rows hold every term rhs's sums add."""
+    the closure P_{L+1} = 0; (L-1)//2 rows hold every term rhs's sums add.
+    _rk4_numpy builds it once per integration, so it lives no longer than that.
+    """
     k = np.arange((L - 1) // 2)[:, None]
     m = np.arange(L - 1)
     return np.where(2 * k < m, m - k, L + 1)
 
 
-def rhs(P: np.ndarray, p: float) -> np.ndarray:
+def rhs(P: np.ndarray, p: float, index: np.ndarray | None = None) -> np.ndarray:
     """Time derivative of the truncated hierarchy at P_0..P_L.
+
+    index is _half_sum_index(L), built here when not given.
 
     Forms conv_m = sum_{k=0}^{m} P_k P_{m-k} as _native.c does, so both RK4
     loops give the same bits: the products over k < m - k added from 0.0 in
@@ -87,7 +89,7 @@ def rhs(P: np.ndarray, p: float) -> np.ndarray:
     dP[0] = -(1.0 + 5.0 * p - 2.0 * p * p) * P[0] + P[1] + 1.0
     dP[1] = -2.0 * P[1] + 2.0 * P[2] + 2.0 * p * (1.0 - p) * P[0]
     padded = np.append(P, 0.0)  # the closure P_{L+1} = 0
-    terms = padded[_half_sum_index(L)]
+    terms = padded[_half_sum_index(L) if index is None else index]
     terms *= P[: len(terms), None]
     conv = 2.0 * terms.sum(axis=0, initial=0.0)  # conv[l-2] = sum_k P_k P_{l-2-k}
     conv[::2] += P[: L // 2] * P[: L // 2]
@@ -103,7 +105,6 @@ def rhs(P: np.ndarray, p: float) -> np.ndarray:
 @dataclass(frozen=True)
 class Trajectory:
     p: float
-    L: int
     taus: np.ndarray  # sampled times, shape (m,)
     P: np.ndarray  # sampled bounds, shape (m, L+1)
 
@@ -163,7 +164,7 @@ def integrate(p: float, tau_end: float, config: OdeConfig | None = None) -> Traj
         raise IntegrationDivergedError(
             f"non-finite values at tau = {failed * dt:.6g} (p = {p}, L = {L}, dt = {dt})"
         )
-    return Trajectory(p=p, L=L, taus=taus, P=samples)
+    return Trajectory(p=p, taus=taus, P=samples)
 
 
 def _rk4_numpy(
@@ -179,14 +180,15 @@ def _rk4_numpy(
     arrays.  numpy's overflow and invalid-value warnings are silenced, as
     the return value reports a divergence.
     """
+    index = _half_sum_index(L)
     P = start.copy()
     row = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, n_steps + 1):
-            k1 = rhs(P, p)
-            k2 = rhs(P + 0.5 * dt * k1, p)
-            k3 = rhs(P + 0.5 * dt * k2, p)
-            k4 = rhs(P + dt * k3, p)
+            k1 = rhs(P, p, index)
+            k2 = rhs(P + 0.5 * dt * k1, p, index)
+            k3 = rhs(P + 0.5 * dt * k2, p, index)
+            k4 = rhs(P + dt * k3, p, index)
             P = P + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             if not np.all(np.isfinite(P)):
                 return step

@@ -243,22 +243,14 @@ class WeightTable:
     crossover: int
     slope: float
 
-    def weight(self, ell: int) -> float:
-        if ell <= self.crossover:
-            return self.w_hat[ell]
-        return self.slope * ell
-
-    def weight_array(self) -> list[float]:
-        """w(0..n) as a fresh list for O(1) lookups."""
-        return list(self._weights)
-
-    # Drift terms and the constraint report, computed on first use and kept
-    # for the table's lifetime.
+    # The weights, the drift terms and the constraint report, computed on
+    # first use and kept for the table's lifetime.
     # cached_property writes the instance __dict__ directly, which a frozen
     # dataclass allows; ==, hash and repr still see only the fields above.
 
     @cached_property
-    def _weights(self) -> tuple[float, ...]:
+    def weights(self) -> tuple[float, ...]:
+        """w(0..n): the raw weights up to the crossover, slope * l beyond it."""
         head = self.w_hat[: self.n + 1]
         return head + tuple(self.slope * ell for ell in range(len(head), self.n + 1))
 
@@ -280,7 +272,7 @@ class WeightTable:
         with prefix[k] = w[0] + ... + w[k-1]: the scalar expression's IEEE
         operations, in its order.
         """
-        w = np.array(self._weights)
+        w = np.array(self.weights)
         prefix = np.concatenate(([0.0], np.cumsum(w)))
         lengths = np.arange(1, self.n)
         return np.array([
@@ -296,7 +288,7 @@ class WeightTable:
     @cached_property
     def _cycle_term(self) -> float:
         """Expected weight change of one (-,-) edge update in the all-defect cycle."""
-        w, n = self._weights, self.n
+        w, n = self.weights, self.n
         return sum(prob * (w[n - 2 + a + b] - w[n]) for a, b, prob in self._splits)
 
     @cached_property
@@ -305,8 +297,8 @@ class WeightTable:
 
     def potential(self, states: Sequence[int]) -> float:
         """W(states): the weights of its defector runs, summed in increasing start order."""
-        _, sign, lengths = run_lengths(states)
-        return sum(map(self.weight, lengths[0::2] if sign == -1 else lengths[1::2]))
+        _, minus, _ = run_lengths(states)
+        return sum(map(self.weights.__getitem__, minus))
 
 
 def build_weight_table(kind: StrategyKind | str, p: float, omega: float, n: int) -> WeightTable:
@@ -390,12 +382,12 @@ def check_constraints(table: WeightTable) -> ConstraintReport:
 
 def _evaluate_constraints(table: WeightTable) -> ConstraintReport:
     n = table.n
-    w = np.array(table._weights)
+    w = np.array(table.weights)
     # One run of each length L = 1..n-1: its L - 1 internal edges split it,
     # and its two rim edges grow it to L + 1.
     margins = -(2.0 * w[2:] + table._split_rows.sum(axis=0) - (2.0 - table.omega) * w[1:n])
     singleton, *internal = margins.tolist()
-    nrun = -(table._cycle_term + table.omega / n * table._weights[n])
+    nrun = -(table._cycle_term + table.omega / n * table.weights[n])
 
     # min over 1 <= l1 <= l2, l1 + l2 <= n of w[l1] + w[l2] - w[l1 + l2], one
     # row of l2 at a time: the same IEEE operations as a scalar double loop.
@@ -452,16 +444,8 @@ def one_step_drift(state: CycleState, table: WeightTable) -> DriftReport:
     if state.n != table.n:
         raise ValueError(f"state has n = {state.n} but table has n = {table.n}")
     n = state.n
-    w = table._weights
-    _, sign, lengths = run_lengths(state.states)
-    # Runs alternate in sign around the cycle from the first boundary, so
-    # cooperator run k lies between the defector runs lefts[k] and rights[k].
-    if sign == -1:
-        minus, plus = lengths[0::2], lengths[1::2]
-        lefts, rights = minus, minus[1:] + minus[:1]
-    else:
-        minus, plus = lengths[1::2], lengths[0::2]
-        lefts, rights = minus[-1:] + minus[:-1], minus
+    w = table.weights
+    sign, minus, plus = run_lengths(state.states)
     if not minus:
         return DriftReport(0.0, 0.0, 0.0, True)
     w0 = sum(map(w.__getitem__, minus))
@@ -469,6 +453,12 @@ def one_step_drift(state: CycleState, table: WeightTable) -> DriftReport:
         change = n * table._cycle_term
     else:
         change = sum(chain.from_iterable(map(table._split_terms.__getitem__, minus)))
+        # Runs alternate in sign around the cycle from the first boundary, so
+        # cooperator run k lies between the defector runs lefts[k] and rights[k].
+        if sign == -1:
+            lefts, rights = minus, minus[1:] + minus[:1]
+        else:
+            lefts, rights = minus[-1:] + minus[:-1], minus
         m = len(minus)
         for left, run, right in zip(lefts, plus, rights):
             if run > 1:
@@ -538,7 +528,7 @@ def weight_table_rows(table: WeightTable) -> list[tuple[int, float | None, float
             margin = report.internal_margins[ell - 2]
         else:
             margin = report.nrun_margin
-        rows.append((ell, raw, table.weight(ell), margin))
+        rows.append((ell, raw, table.weights[ell], margin))
     return rows
 
 

@@ -429,6 +429,15 @@ def test_sweep_reruns_byte_identical(capsys, tmp_path):
         assert a == b, name
 
 
+def test_sweep_integer_key_takes_an_integral_float(capsys, tmp_path):
+    d1, d2 = str(tmp_path / "o1"), str(tmp_path / "o2")
+    assert run_cli(capsys, "sweep", "--config", _write_config(tmp_path), "--out-dir", d1, "--quiet")[0] == 0
+    cfg = _write_config(tmp_path, max_steps=4000.0)
+    assert run_cli(capsys, "sweep", "--config", cfg, "--out-dir", d2, "--quiet")[0] == 0
+    for name in ("records.csv", "resolved_config.json"):
+        assert open(os.path.join(d1, name)).read() == open(os.path.join(d2, name)).read(), name
+
+
 def test_sweep_unknown_key(capsys, tmp_path):
     cfg = _write_config(tmp_path, typo_key=1)
     code, _, err = run_cli(capsys, "sweep", "--config", cfg, "--out-dir", str(tmp_path / "x"), "--quiet")
@@ -475,6 +484,10 @@ def test_failed_sweep_keeps_an_existing_directory(capsys, tmp_path):
         {"n_list": [[20]], "p_list": [0.5]},
         {"n_list": [True], "p_list": [0.5]},
         {"n_list": [float("inf")], "p_list": [0.5]},
+        {"n_list": [float("nan")], "p_list": [0.5]},
+        {"n_list": [10.7], "p_list": [0.5]},
+        {"n_list": [20], "p_list": [0.5], "reps": 2.9},
+        {"n_list": [20], "p_list": [0.5], "master_seed": 1.5},
         {"n_list": [20], "p_list": [0.5], "reps": None},
         {"n_list": [20], "p_list": [0.5], "init": 5},
         {"n_list": [20], "p_list": [0.5], "strategy": ["rp"]},
@@ -595,6 +608,13 @@ def test_defect_time_output(capsys):
     code, out, _ = run_cli(capsys, "defect-time", "--n", "30", "--reps", "20", "--seed", "1", "--quiet")
     assert code == 0
     assert "expected=435.0" in out  # 30*29/2
+
+
+@pytest.mark.parametrize("n", ["2", "0"])
+def test_defect_time_rejects_n_below_3(capsys, n):
+    # The clock is a sweep cell, so SweepConfig checks n, before the 1000 n^2 step cap.
+    code, out, err = run_cli(capsys, "defect-time", "--n", n, "--quiet")
+    assert (code, out, err) == (1, "", f"error: every n must be >= 3, got {n}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -599,30 +599,31 @@ def test_identical_seeds_identical_runs():
 
 
 def test_extract_runs_all_minus_pseudo_run():
-    assert run_lengths(new_state(7, AllDefect(), 0).states) == (0, -1, [7])
+    assert run_lengths(new_state(7, AllDefect(), 0).states) == (-1, [7], [])
 
 
 def test_extract_runs_all_plus_pseudo_run():
-    assert run_lengths(new_state(5, AllCooperate(), 0).states) == (0, 1, [5])
+    assert run_lengths(new_state(5, AllCooperate(), 0).states) == (1, [], [5])
 
 
 def test_extract_runs_wraparound():
     # defectors at 1..2, then cooperators at 3, 4 and 0 across n - 1 -> 0
-    assert run_lengths(new_state(5, Explicit((1, -1, -1, 1, 1)), 0).states) == (1, -1, [2, 3])
+    assert run_lengths(new_state(5, Explicit((1, -1, -1, 1, 1)), 0).states) == (-1, [2], [3])
 
 
 def test_extract_runs_alternating():
-    assert run_lengths(new_state(4, Explicit((-1, 1, -1, 1)), 0).states) == (0, -1, [1, 1, 1, 1])
+    assert run_lengths(new_state(4, Explicit((-1, 1, -1, 1)), 0).states) == (-1, [1, 1], [1, 1])
 
 
 @pytest.mark.parametrize(
     "states, want",
     [
-        ((1, 1, 1), (0, 1, [3])),
-        ((-1, -1, -1, -1), (0, -1, [4])),
-        ((-1, -1, 1, -1, 1, 1, 1), (0, -1, [2, 1, 1, 3])),  # boundary at index 0
-        ((-1, 1, 1, -1, -1), (1, 1, [2, 3])),  # the defector run wraps n - 1 -> 0
-        ((1, -1, 1), (1, -1, [1, 2])),
+        ((1, 1, 1), (1, [], [3])),
+        ((-1, -1, -1, -1), (-1, [4], [])),
+        ((-1, -1, 1, -1, 1, 1, 1), (-1, [2, 1], [1, 3])),  # boundary at index 0
+        ((-1, 1, 1, -1, -1), (1, [3], [2])),  # the defector run wraps n - 1 -> 0
+        ((1, -1, 1), (-1, [1], [2])),
+        ((1, 1, -1, 1, -1, -1, 1), (-1, [1, 2], [1, 3])),  # a cooperator run wraps
     ],
 )
 def test_run_lengths_scan_from_the_first_boundary(states, want):
@@ -646,17 +647,18 @@ def _reference_runs(states):
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.sampled_from([-1, 1]), min_size=3, max_size=40))
 def test_runs_match_reference_and_invariants(states):
-    start, sign, lengths = run_lengths(states)
+    sign, minus, plus = run_lengths(states)
     n = len(states)
-    assert sum(lengths) == n
+    assert sum(minus) + sum(plus) == n
     if len(set(states)) == 1:
-        assert (start, sign, lengths) == (0, states[0], [n])
+        assert (sign, minus, plus) == ((-1, [n], []) if states[0] == -1 else (1, [], [n]))
         return
-    starts = itertools.accumulate(lengths[:-1], initial=start)
-    # runs in increasing start order, alternating in sign, as many of each sign
-    got = list(zip(starts, lengths, itertools.cycle((sign, -sign))))
-    assert got == _reference_runs(states)
-    assert len(lengths) % 2 == 0
+    runs = _reference_runs(states)
+    # each sign's runs in increasing start order, from the first boundary
+    assert minus == [length for _, length, s in runs if s == -1]
+    assert plus == [length for _, length, s in runs if s == 1]
+    assert sign == runs[0][2]
+    assert len(minus) == len(plus)
 
 
 @settings(max_examples=100, deadline=None)

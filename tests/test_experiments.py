@@ -6,7 +6,7 @@ import pytest
 
 from pavlov_cycle import experiments
 from pavlov_cycle.charts import render_phase_charts
-from pavlov_cycle.dynamics import Outcome, StrategyKind
+from pavlov_cycle.dynamics import Outcome, SingleDefector, StrategyKind
 from pavlov_cycle.experiments import (
     CSV_HEADER,
     SweepConfig,
@@ -185,6 +185,13 @@ def test_defect_time_variance_formula():
     n = 50
     q = 2 / n
     assert defect_time_variance(n) == pytest.approx((n - 1) * (1 - q) / q**2)
+
+
+def test_defect_time_is_the_p0_sweep_cell():
+    config = SweepConfig(StrategyKind.RP, (20,), (0.0,), 10, 1000 * 20 * 20, 9, SingleDefector(0))
+    records = run_sweep(config)
+    assert defect_time_experiment(20, 10, master_seed=9).times == tuple(r.steps for r in records)
+    assert {r.outcome for r in records} == {Outcome.ALL_MINUS}
 
 
 def test_defect_time_deterministic():

@@ -2,6 +2,7 @@ import ctypes
 import math
 import shutil
 import subprocess
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -216,6 +217,19 @@ def test_integrate_without_kernel_is_the_numpy_loop(monkeypatch):
     assert got.taus.tolist() == [0.0, *(k * 1e-3 for k in range(10, 505, 10)), 505 * 1e-3]
     assert np.array_equal(got.P[0], start)
     assert np.array_equal(got.P[1:], ref)
+
+
+def test_numpy_integration_keeps_no_index_table(monkeypatch):
+    # rhs's half-sum index table at L = 2000 holds 999 x 1999 int64 (16 MB);
+    # it lives for one integration, not for the process.
+    monkeypatch.setattr(_native, "load", lambda: None)
+    tracemalloc.start()
+    try:
+        integrate(0.01, 0.001, OdeConfig(L=2000))
+        left, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert left < 2**20
 
 
 @pytest.mark.parametrize("path", ["kernel", "numpy"])

@@ -297,8 +297,8 @@ def test_threshold_bisect_rejects_bad_tol(tol):
 
 def test_build_table_basic_invariants():
     t = build_weight_table("rp", 0.9, 0.0, 50)
-    w = t.weight_array()
-    assert w == [t.weight(ell) for ell in range(51)]
+    w = t.weights
+    assert w == tuple(t.w_hat[ell] if ell <= t.crossover else t.slope * ell for ell in range(51))
     assert w[0] == 0.0 and w[1] == 1.0
     assert t.slope <= 1.0
     for ell in range(1, 50):
@@ -308,10 +308,10 @@ def test_build_table_basic_invariants():
         assert w[ell] <= ell + 1e-12
 
 
-def test_weight_array_shorter_than_raw_weights():
+def test_weights_shorter_than_raw_weights():
     t = build_weight_table("rp", 0.87, 0.0, 5)  # crossover 8 lies beyond n
     assert t.crossover > t.n
-    assert t.weight_array() == list(t.w_hat[:6])
+    assert t.weights == t.w_hat[:6]
 
 
 def test_cached_drift_terms_leave_table_identity_alone():
@@ -327,14 +327,11 @@ def test_cached_drift_terms_leave_table_identity_alone():
     assert one_step_drift(state, restored) == report == one_step_drift(state, fresh)
     smaller = dataclasses.replace(used, n=8)
     assert smaller == dataclasses.replace(fresh, n=8)
-    assert smaller.weight_array() == [smaller.weight(ell) for ell in range(9)]
+    assert smaller.weights == used.weights[:9]
     assert one_step_drift(new_state(8, Explicit((-1, 1) * 4), 0), smaller) == one_step_drift(
         new_state(8, Explicit((-1, 1) * 4), 0), dataclasses.replace(fresh, n=8)
     )
-    # weight_array hands out a copy, never the cached weights
-    w = used.weight_array()
-    w[3] = -1.0
-    assert used.weight_array() == fresh.weight_array()
+    assert used.weights == fresh.weights
     assert one_step_drift(state, used) == report
 
 
@@ -342,7 +339,7 @@ def test_build_table_monotonicity_with_omega_slack():
     # with omega > 0 the pair weight dips by omega/2, so allow omega slack
     omega = 1e-4
     t = build_weight_table("rp", 0.9, omega, 50)
-    w = t.weight_array()
+    w = t.weights
     for ell in range(1, 50):
         assert w[ell + 1] >= w[ell] - omega
         assert w[ell + 1] / (ell + 1) <= w[ell] / ell + 1e-12
@@ -384,7 +381,7 @@ def test_srp_constraints_feasible_above_its_threshold():
 
 def _merge_margin_double_loop(table):
     """Reference: the scalar double loop over every merge l1 + l2 <= n."""
-    w = table.weight_array()
+    w = table.weights
     n = table.n
     merge = math.inf
     for l1 in range(1, n):
@@ -416,7 +413,7 @@ def _constraints_by_formula(table):
     p = table.p
     omega = table.omega
     n = table.n
-    w = table.weight_array()
+    w = table.weights
     delta = omega / n
 
     singleton = -(2.0 * w[2] - (2.0 - omega) * w[1])
@@ -477,7 +474,7 @@ def test_constraints_match_the_per_kind_formulas(n):
         for flag in ("feasible", "singleton_ok", "internal_ok", "nrun_ok", "merge_ok"):
             assert getattr(got, flag) == getattr(want, flag), (flag, where)
         assert got.singleton_margin.hex() == want.singleton_margin.hex(), where
-        scale = 1e-13 * sum(map(abs, table.weight_array()))
+        scale = 1e-13 * sum(map(abs, table.weights))
         assert len(got.internal_margins) == len(want.internal_margins) == n - 2
         pairs = zip((got.nrun_margin, *got.internal_margins), (want.nrun_margin, *want.internal_margins))
         for a, b in pairs:
@@ -542,11 +539,11 @@ def _drift_brute_force(state, table):
         raise ValueError(f"state has n = {state.n} but table has n = {table.n}")
     n = state.n
     states = state.states
-    w = table.weight_array()
+    w = table.weights
 
     def pot(s):
-        _, sign, lengths = run_lengths(s)
-        return sum(w[ell] for ell in (lengths[0::2] if sign == -1 else lengths[1::2]))
+        _, minus, _ = run_lengths(s)
+        return sum(w[ell] for ell in minus)
 
     w0 = pot(states)
     bound = (1.0 - table.omega / n) * w0
@@ -644,7 +641,7 @@ def test_drift_all_defect_closed_form():
     n = 8
     for kind, p, omega in DRIFT_CONFIGS:
         t = build_weight_table(kind, p, omega, n)
-        w = t.weight_array()
+        w = t.weights
         if kind == "rp":
             want = p * p * w[n - 2] + 2 * p * (1 - p) * w[n - 1] + (1 - p) ** 2 * w[n]
         else:
