@@ -332,44 +332,42 @@ def build_weight_table(kind: StrategyKind | str, p: float, omega: float, n: int)
 class ConstraintReport:
     """Slack of every certificate inequality; nonnegative slack = satisfied.
 
-    singleton and internal are n * (bound - expected_next) of the drift of a
-    lone defector run of length 1 and of each length 2..n-1, nrun that of the
-    all-defect cycle, unscaled, and merge the subadditivity w[a] + w[b] >=
-    w[a+b] that prices run merges across a lone cooperator.
+    run_margins[L - 1] is minus the one-step drift of a cycle holding one
+    defector run of length L: n * (bound - expected_next) for L < n, and
+    bound - expected_next, unscaled, for the all-defect cycle at L = n.
+    merge_margin is the subadditivity w[a] + w[b] >= w[a+b] that prices run
+    merges across a lone cooperator.
     """
 
-    singleton_margin: float
-    internal_margins: tuple[float, ...]  # index 0 is run length 2
-    nrun_margin: float
+    run_margins: tuple[float, ...]  # length n
     merge_margin: float
 
     @property
     def singleton_ok(self) -> bool:
-        return self.singleton_margin >= -MARGIN_TOL
+        return _ok(self.run_margins[:1])
 
     @property
     def internal_ok(self) -> bool:
-        return all(m >= -MARGIN_TOL for m in self.internal_margins)
+        return _ok(self.run_margins[1:-1])
 
     @property
     def nrun_ok(self) -> bool:
-        return self.nrun_margin >= -MARGIN_TOL
+        return _ok(self.run_margins[-1:])
 
     @property
     def merge_ok(self) -> bool:
-        return self.merge_margin >= -MARGIN_TOL
+        return _ok((self.merge_margin,))
 
     @property
     def feasible(self) -> bool:
-        return self.singleton_ok and self.internal_ok and self.nrun_ok and self.merge_ok
+        return _ok((*self.run_margins, self.merge_margin))
 
     def worst(self) -> float:
-        return min(
-            self.singleton_margin,
-            min(self.internal_margins, default=math.inf),
-            self.nrun_margin,
-            self.merge_margin,
-        )
+        return min(*self.run_margins, self.merge_margin)
+
+
+def _ok(margins: Sequence[float]) -> bool:
+    return all(m >= -MARGIN_TOL for m in margins)
 
 
 def check_constraints(table: WeightTable) -> ConstraintReport:
@@ -386,7 +384,6 @@ def _evaluate_constraints(table: WeightTable) -> ConstraintReport:
     # One run of each length L = 1..n-1: its L - 1 internal edges split it,
     # and its two rim edges grow it to L + 1.
     margins = -(2.0 * w[2:] + table._split_rows.sum(axis=0) - (2.0 - table.omega) * w[1:n])
-    singleton, *internal = margins.tolist()
     nrun = -(table._cycle_term + table.omega / n * table.weights[n])
 
     # min over 1 <= l1 <= l2, l1 + l2 <= n of w[l1] + w[l2] - w[l1 + l2], one
@@ -395,12 +392,7 @@ def _evaluate_constraints(table: WeightTable) -> ConstraintReport:
     for l1 in range(1, n // 2 + 1):
         merge = min(merge, float((w[l1] + w[l1 : n - l1 + 1] - w[2 * l1 : n + 1]).min()))
 
-    return ConstraintReport(
-        singleton_margin=singleton,
-        internal_margins=tuple(internal),
-        nrun_margin=nrun,
-        merge_margin=merge,
-    )
+    return ConstraintReport(run_margins=(*margins.tolist(), nrun), merge_margin=merge)
 
 
 # ---------------------------------------------------------------------------
@@ -512,24 +504,11 @@ def min_feasible_p(kind: StrategyKind | str, omega: float, n: int, tol: float = 
 
 
 def weight_table_rows(table: WeightTable) -> list[tuple[int, float | None, float, float]]:
-    """Rows (ell, raw weight or None, w(ell), constraint slack at ell).
-
-    The slack column is minus the one-step drift of a lone defector run of
-    that length, as ConstraintReport scales it: length 1 gets the singleton
-    slack, 2..n-1 the internal slack, n the whole-cycle slack.
-    """
-    report = check_constraints(table)
-    rows = []
-    for ell in range(1, table.n + 1):
-        raw = table.w_hat[ell] if ell <= table.crossover else None
-        if ell == 1:
-            margin = report.singleton_margin
-        elif ell < table.n:
-            margin = report.internal_margins[ell - 2]
-        else:
-            margin = report.nrun_margin
-        rows.append((ell, raw, table.weights[ell], margin))
-    return rows
+    """Rows (ell, raw weight or None, w(ell), ConstraintReport.run_margins[ell - 1])."""
+    return [
+        (ell, table.w_hat[ell] if ell <= table.crossover else None, table.weights[ell], margin)
+        for ell, margin in enumerate(check_constraints(table).run_margins, start=1)
+    ]
 
 
 def write_weight_table_csv(table: WeightTable, path: str) -> None:

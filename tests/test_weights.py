@@ -353,15 +353,15 @@ def test_build_table_infeasible_below_threshold():
 def test_constraints_feasible_at_reference_point():
     rep = check_constraints(build_weight_table("rp", 0.9, 0.01, 50))
     assert rep.feasible
-    assert rep.singleton_margin == pytest.approx(0.0, abs=1e-12)
+    assert rep.run_margins[0] == pytest.approx(0.0, abs=1e-12)
 
 
-def test_nrun_margin_reduces_to_omega_below_2p():
+def test_whole_cycle_margin_reduces_to_omega_below_2p():
     # with the top three weights on the linear tail the whole-cycle constraint
     # collapses to slope * (2p - omega)
     t = build_weight_table("rp", 0.9, 0.01, 50)
     rep = check_constraints(t)
-    assert rep.nrun_margin == pytest.approx(t.slope * (2 * 0.9 - 0.01), rel=1e-12)
+    assert rep.run_margins[-1] == pytest.approx(t.slope * (2 * 0.9 - 0.01), rel=1e-12)
 
 
 def test_feasibility_grid_small_omega():
@@ -404,7 +404,7 @@ def test_merge_margin_equals_double_loop(n):
 
 
 def _constraints_by_formula(table):
-    """Reference: the singleton, internal and whole-cycle inequalities as rp and srp algebra.
+    """Reference: the run-length inequalities (1, 2..n-1, n) as rp and srp algebra.
 
     The (-,-) branch probabilities are multiplied out by hand for each
     strategy kind.  The merge margin reads no branch probability and is the
@@ -444,9 +444,7 @@ def _constraints_by_formula(table):
         nrun = -(p * w[n - 2] - p * w[n] + delta * w[n])
 
     return weights.ConstraintReport(
-        singleton_margin=singleton,
-        internal_margins=tuple(internal),
-        nrun_margin=nrun,
+        run_margins=(singleton, *internal, nrun),
         merge_margin=check_constraints(table).merge_margin,
     )
 
@@ -473,11 +471,10 @@ def test_constraints_match_the_per_kind_formulas(n):
         where = (table.kind.value, table.p, table.omega)
         for flag in ("feasible", "singleton_ok", "internal_ok", "nrun_ok", "merge_ok"):
             assert getattr(got, flag) == getattr(want, flag), (flag, where)
-        assert got.singleton_margin.hex() == want.singleton_margin.hex(), where
+        assert got.run_margins[0].hex() == want.run_margins[0].hex(), where
         scale = 1e-13 * sum(map(abs, table.weights))
-        assert len(got.internal_margins) == len(want.internal_margins) == n - 2
-        pairs = zip((got.nrun_margin, *got.internal_margins), (want.nrun_margin, *want.internal_margins))
-        for a, b in pairs:
+        assert len(got.run_margins) == len(want.run_margins) == n
+        for a, b in zip(got.run_margins[1:], want.run_margins[1:]):
             assert type(a) is float and abs(a - b) <= scale, where
         checked += 1
     assert checked > 100
@@ -486,15 +483,16 @@ def test_constraints_match_the_per_kind_formulas(n):
 @pytest.mark.parametrize("kind, p, omega", [("rp", 0.9, 1e-2), ("rp", 1.0, 0.0), ("srp", 0.8, 1e-4)])
 def test_margins_are_the_drift_of_the_states_they_stand_for(kind, p, omega):
     # One defector run of length L < n: margin = n * (bound - expected_next);
-    # the all-defect cycle: nrun margin = bound - expected_next.
+    # the all-defect cycle (L = n): margin = bound - expected_next.
     n = 12
     table = build_weight_table(kind, p, omega, n)
     report = check_constraints(table)
-    for ell, margin in enumerate((report.singleton_margin, *report.internal_margins), start=1):
+    assert len(report.run_margins) == n
+    for ell, margin in enumerate(report.run_margins[:-1], start=1):
         drift = one_step_drift(new_state(n, Explicit((-1,) * ell + (1,) * (n - ell)), 0), table)
         assert margin == pytest.approx(n * (drift.bound - drift.expected_next), abs=1e-12), ell
     drift = one_step_drift(new_state(n, Explicit((-1,) * n), 0), table)
-    assert report.nrun_margin == pytest.approx(drift.bound - drift.expected_next, abs=1e-12)
+    assert report.run_margins[-1] == pytest.approx(drift.bound - drift.expected_next, abs=1e-12)
 
 
 def test_constraint_report_computed_once_per_table(monkeypatch, tmp_path):
@@ -508,11 +506,7 @@ def test_constraint_report_computed_once_per_table(monkeypatch, tmp_path):
     weights.write_weight_table_csv(table, str(tmp_path / "table.csv"))
     assert evaluated == [table]  # the CSV rows reuse the cached report
     assert report == real(table)
-    assert [margin for *_, margin in rows] == [
-        report.singleton_margin,
-        *report.internal_margins,
-        report.nrun_margin,
-    ]
+    assert [margin for *_, margin in rows] == list(report.run_margins)
     smaller = dataclasses.replace(table, n=20)  # a new table is checked afresh
     assert check_constraints(smaller) == real(smaller) != report
     assert len(evaluated) == 2
