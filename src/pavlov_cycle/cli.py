@@ -90,11 +90,11 @@ def _echo_config(args: argparse.Namespace, resolved: dict | None = None) -> None
 
 
 def _parse_init(text: str) -> InitConfig:
-    name, _, arg = text.partition(":")
-    if name == "all-defect":
-        return AllDefect()
-    if name == "all-cooperate":
-        return AllCooperate()
+    name, colon, arg = text.partition(":")
+    if name in ("all-defect", "all-cooperate"):
+        if colon:
+            raise UsageError(f"init {name} takes no argument, got {text!r}")
+        return AllDefect() if name == "all-defect" else AllCooperate()
     if name == "single-defector":
         return SingleDefector(int(arg) if arg else 0)
     if name == "bernoulli":
@@ -419,6 +419,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (ValueError, OSError, IntegrationDivergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:  # e.g. an n too large for the state's list
+        print("error: out of memory", file=sys.stderr)
         return 1
     except SystemExit as exc:  # argparse --help/--version
         return int(exc.code or 0)

@@ -22,9 +22,11 @@ one under srp; mixed and (+,+) edges consume none.  "Cooperate" means
 u < p strictly, so p = 0 never cooperates and p = 1 always does.
 The seed must be a non-negative integer.  It is checked when the state is
 built, and a stream builds its seed and generator only at its first refill.
-Each stream is a buffer of refills and a cursor.  advance may draw a refill
-before it needs its values, but a cursor moves only past values consumed,
-so every draw is the one repeated step() calls would make.
+Each stream is a buffer of refills and a cursor, and every reader (step,
+advance, the Bernoulli start) reads it the same way: it takes a window of
+the next values, which may draw a refill before they are needed, and
+consumes only the values it used.  So advance draws exactly what repeated
+step() calls would.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import operator
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -138,7 +140,8 @@ class _Stream:
     child ``SeedSequence(seed).spawn(2)[stream]``, and its PCG64 generator
     are built at the first refill, so a state that never steps pays for
     neither.  The buffer holds the values from the cursor on; values before
-    the cursor are consumed.
+    the cursor are consumed.  Readers take ``window(k)``, then ``consume``
+    the values they used; the stream has no other read path.
     """
 
     __slots__ = ("_seed", "_stream", "_n", "_rng", "_buf", "_pos")
@@ -174,18 +177,6 @@ class _Stream:
     def consume(self, k: int) -> None:
         """Move the cursor past the first k values of the last window."""
         self._pos += k
-
-    def __iter__(self) -> _Stream:
-        return self
-
-    def __next__(self) -> int | float:
-        """The next value as a plain ``int`` or ``float``, consumed."""
-        pos = self._pos
-        if pos == len(self._buf):
-            self._buf = self._refill()
-            pos = 0
-        self._pos = pos + 1
-        return self._buf.item(pos)
 
 
 class CycleState:
@@ -302,8 +293,7 @@ def transition_branches(
     ]
 
 
-@dataclass(frozen=True)
-class StepOutcome:
+class StepOutcome(NamedTuple):
     edge: int
     old_pair: tuple[int, int]
     new_pair: tuple[int, int]
@@ -311,24 +301,21 @@ class StepOutcome:
 
 def step(state: CycleState, strategy: Strategy) -> StepOutcome:
     """Advance the state by one uniformly chosen edge update."""
-    n = state.n
-    i = next(state._edges)
-    j = i + 1
-    if j == n:
-        j = 0
+    edges, uniforms = state._edges, state._uniforms
+    i = edges.window(1).item(0)
+    edges.consume(1)
+    j = 0 if i == state.n - 1 else i + 1
     states = state.states
     a = states[i]
     b = states[j]
-    uniforms = itertools.islice(state._uniforms, uniforms_drawn(a, b, strategy))
-    na, nb = edge_transition(a, b, strategy, *uniforms)
-    if na != a:
-        states[i] = na
-        state.minus_count += (a - na) // 2
-    if nb != b:
-        states[j] = nb
-        state.minus_count += (b - nb) // 2
+    k = uniforms_drawn(a, b, strategy)
+    na, nb = edge_transition(a, b, strategy, *uniforms.window(k).tolist())
+    uniforms.consume(k)
+    states[i] = na
+    states[j] = nb
+    state.minus_count += (a - na + b - nb) // 2
     state.step_count += 1
-    return StepOutcome(edge=i, old_pair=(a, b), new_pair=(na, nb))
+    return StepOutcome(i, (a, b), (na, nb))
 
 
 def advance(state: CycleState, strategy: Strategy, step_budget: int) -> Outcome | None:
@@ -346,9 +333,10 @@ def advance(state: CycleState, strategy: Strategy, step_budget: int) -> Outcome 
     list of the next picks and reads each (-,-) update's outcome from one
     code per update, compared in numpy: bit 0 set when the left endpoint
     cooperates, bit 1 when the right one does.  Under rp the code packs the
-    update's two u < p tests; under srp its one test sets both bits.  The
-    steps taken and the draws consumed are what the two iterators report as
-    left over, so the cursors move by exactly that.
+    update's two u < p tests; under srp its one test sets both bits.  Like
+    every reader of the streams, a chunk takes one window of each and
+    consumes only what it used: the steps taken and the updates drawn are
+    what the two iterators over the windows report as left over.
     """
     p = strategy.p
     n = state.n
@@ -359,8 +347,7 @@ def advance(state: CycleState, strategy: Strategy, step_budget: int) -> Outcome 
         return Outcome.ALL_PLUS
     if mc == all_minus:
         return Outcome.ALL_MINUS
-    srp = strategy.kind is StrategyKind.SRP
-    per_update = 1 if srp else 2
+    per_update = uniforms_drawn(-1, -1, strategy)
     states = state.states
     last = n - 1
     edges, uniforms = state._edges, state._uniforms
@@ -370,9 +357,8 @@ def advance(state: CycleState, strategy: Strategy, step_budget: int) -> Outcome 
         take = min(budget, _CHUNK)
         picks = iter(edges.window(take).tolist())
         below = (uniforms.window(per_update * take) < p).view(np.uint8)
-        codes = below * 3 if srp else below[0::2] | (below[1::2] << 1)
+        codes = below * 3 if per_update == 1 else below[0::2] | (below[1::2] << 1)
         draws = iter(codes.tobytes())
-        next_draw = draws.__next__
         for i in picks:
             j = 0 if i == last else i + 1
             a = states[i]
@@ -385,7 +371,7 @@ def advance(state: CycleState, strategy: Strategy, step_budget: int) -> Outcome 
             elif a == 1:  # (+,+) edge: a null pick
                 continue
             else:  # (-,-) edge: which endpoints cooperate, bit 0 the left
-                code = next_draw()
+                code = next(draws)
                 if code:
                     if code == 3:
                         states[i] = states[j] = 1

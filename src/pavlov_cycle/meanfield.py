@@ -345,17 +345,3 @@ def tail_check(trajectory: Trajectory) -> TailReport:
         sum_ok=max_tail < threshold,
         decay_ok=ratio < 1.0 / base,
     )
-
-
-def long_run_bound(p: float, n: int, steps: float, gamma: float) -> float:
-    """Bound on ever seeing a cooperator run of length n/4 within the given steps.
-
-    Evaluates steps * n * gamma / (1+p^3)^(n/4), computed in log space so
-    huge n do not underflow.  Meaningful (below 1) only once n is large.
-    """
-    if n <= 0 or steps < 0 or gamma <= 0:
-        raise ValueError("need n > 0, steps >= 0, gamma > 0")
-    if steps == 0:
-        return 0.0
-    log_bound = math.log(steps) + math.log(n) + math.log(gamma) - (n / 4.0) * math.log1p(p**3)
-    return math.exp(log_bound)

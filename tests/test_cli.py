@@ -4,11 +4,12 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
 import pavlov_cycle
-from pavlov_cycle import _native, cli
+from pavlov_cycle import _native, cli, experiments
 from pavlov_cycle.cli import main
 from pavlov_cycle.dynamics import advance
 from pavlov_cycle.weights import MARGIN_TOL
@@ -118,7 +119,7 @@ def test_weights_feasible_writes_table(capsys, tmp_path):
     )
     assert code == 0
     assert "feasible=True" in out
-    lines = open(out_path).read().splitlines()
+    lines = Path(out_path).read_text().splitlines()
     assert lines[0] == "ell,w_hat,w,margin"
     assert len(lines) == 101  # n defaults to 100
 
@@ -252,7 +253,7 @@ def test_simulate_trace_file(capsys, tmp_path):
         "--trace", trace, "--trace-every", "50", "--quiet",
     )
     assert code == 0
-    lines = open(trace).read().splitlines()
+    lines = Path(trace).read_text().splitlines()
     assert lines[0] == "step,minus_count,coop_fraction,minus_runs,plus_runs,longest_minus,longest_plus"
     first = lines[1].split(",")
     assert first[0] == "0" and first[1] == "20"
@@ -265,6 +266,17 @@ def test_simulate_bad_init(capsys):
     code, _, err = run_cli(capsys, "simulate", "--n", "10", "--init", "zebra", "--quiet")
     assert code == 1
     assert "unknown init" in err
+
+
+@pytest.mark.parametrize("init", ["all-defect:junk", "all-cooperate:7", "all-defect:"])
+def test_argument_free_init_refuses_an_argument(capsys, tmp_path, init):
+    # the suffix used to be dropped, and a sweep's sidecar then echoed the bare name
+    code, out, err = run_cli(capsys, "simulate", "--n", "10", "--init", init, "--quiet")
+    assert (code, out) == (1, "") and err.startswith("error:") and "takes no argument" in err
+    cfg = _write_config(tmp_path, init=init)
+    code, out, err = run_cli(capsys, "sweep", "--config", cfg, "--out-dir", str(tmp_path / "out"), "--quiet")
+    assert (code, out) == (1, "") and err.startswith("error:") and "takes no argument" in err
+    assert sorted(os.listdir(tmp_path)) == ["config.json"]
 
 
 @pytest.mark.parametrize("every", ["0", "-5"])
@@ -347,7 +359,7 @@ def test_simulate_trace_memory_does_not_grow_with_snapshots(capsys, tmp_path):
 
     peak(1), peak(10)  # warm-up: first-call allocations are not the run's
     sparse, dense = peak(10), peak(1)
-    assert len(open(trace).read().splitlines()) == 20002
+    assert len(Path(trace).read_text().splitlines()) == 20002
     assert dense - sparse < 200_000, (sparse, dense)
 
 
@@ -387,6 +399,25 @@ def test_n_beyond_index_size_exits_1_without_traceback(tmp_path, command):
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:") and "index-sized" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "command, module, name",
+    [("simulate", cli, "new_state"), ("defect-time", experiments, "run_until_absorbed"), ("sweep", experiments, "run_until_absorbed")],
+)
+def test_out_of_memory_exits_1_without_traceback(capsys, tmp_path, monkeypatch, command, module, name):
+    # An n that fits an index but not memory fails in new_state's [-1] * n;
+    # the patch raises in its place, so nothing large is allocated.
+    def out_of_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(module, name, out_of_memory)
+    if command == "sweep":
+        argv = ["sweep", "--config", _write_config(tmp_path), "--out-dir", str(tmp_path / "out")]
+    else:
+        argv = [command, "--n", "10"]
+    code, out, err = run_cli(capsys, *argv, "--quiet")
+    assert (code, out, err) == (1, "", "error: out of memory\n")
 
 
 def test_config_echo_on_stderr(capsys):
@@ -459,10 +490,10 @@ def test_sweep_outputs(capsys, tmp_path):
     assert code == 0
     for name in ("records.csv", "summary.csv", "charts.svg", "resolved_config.json"):
         assert os.path.exists(os.path.join(out_dir, name)), name
-    resolved = json.load(open(os.path.join(out_dir, "resolved_config.json")))
+    resolved = json.loads(Path(out_dir, "resolved_config.json").read_text())
     assert resolved["master_seed"] == 7
     assert resolved["init"] == "all-defect"
-    records = open(os.path.join(out_dir, "records.csv")).read().splitlines()
+    records = Path(out_dir, "records.csv").read_text().splitlines()
     assert len(records) == 1 + 2 * 4
 
 
@@ -472,8 +503,8 @@ def test_sweep_reruns_byte_identical(capsys, tmp_path):
     assert run_cli(capsys, "sweep", "--config", cfg, "--out-dir", d1, "--quiet")[0] == 0
     assert run_cli(capsys, "sweep", "--config", cfg, "--out-dir", d2, "--threads", "2", "--quiet")[0] == 0
     for name in ("records.csv", "summary.csv", "charts.svg"):
-        a = open(os.path.join(d1, name), "rb").read()
-        b = open(os.path.join(d2, name), "rb").read()
+        a = Path(d1, name).read_bytes()
+        b = Path(d2, name).read_bytes()
         assert a == b, name
 
 
@@ -483,7 +514,7 @@ def test_sweep_integer_key_takes_an_integral_float(capsys, tmp_path):
     cfg = _write_config(tmp_path, max_steps=4000.0)
     assert run_cli(capsys, "sweep", "--config", cfg, "--out-dir", d2, "--quiet")[0] == 0
     for name in ("records.csv", "resolved_config.json"):
-        assert open(os.path.join(d1, name)).read() == open(os.path.join(d2, name)).read(), name
+        assert Path(d1, name).read_text() == Path(d2, name).read_text(), name
 
 
 def test_sweep_unknown_key(capsys, tmp_path):
@@ -567,7 +598,7 @@ def test_meanfield_writes_trajectory(capsys, tmp_path):
         "--out", out, "--csv-cols", "4", "--quiet",
     )
     assert code == 0
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     assert lines[0] == "tau,P_0,P_1,P_2,P_3,P_4,sum_tail"
     assert "max_tail_sum=" in text
 
@@ -588,7 +619,7 @@ def test_meanfield_csv_cols_zero_keeps_p0(capsys, tmp_path):
         capsys, "meanfield", "--p", "0.02", "--tau-end", "0.1", "--out", out, "--csv-cols", "0", "--quiet"
     )
     assert code == 0
-    assert open(out).read().splitlines()[0] == "tau,P_0,sum_tail"
+    assert Path(out).read_text().splitlines()[0] == "tau,P_0,sum_tail"
 
 
 def test_meanfield_rejects_big_dt(capsys):
@@ -703,7 +734,7 @@ def test_trace_and_meanfield_outputs_byte_identical(capsys, tmp_path):
             capsys, "simulate", "--n", "25", "--p", "0.85", "--seed", "9",
             "--trace", t, "--trace-every", "100", "--quiet",
         )[0] == 0
-    assert open(t1, "rb").read() == open(t2, "rb").read()
+    assert Path(t1).read_bytes() == Path(t2).read_bytes()
 
     m1, m2 = str(tmp_path / "m1.csv"), str(tmp_path / "m2.csv")
     for m in (m1, m2):
@@ -711,7 +742,7 @@ def test_trace_and_meanfield_outputs_byte_identical(capsys, tmp_path):
             capsys, "meanfield", "--p", "0.02", "--tau-end", "1", "--L", "16",
             "--out", m, "--quiet",
         )[0] == 0
-    assert open(m1, "rb").read() == open(m2, "rb").read()
+    assert Path(m1).read_bytes() == Path(m2).read_bytes()
 
 
 IMPORT_CHILD = """

@@ -82,6 +82,13 @@ def test_new_state_rejects_a_seed_that_is_not_an_integer(seed):
         new_state(5, AllCooperate(), seed)
 
 
+def _draw(stream, k):
+    """The next k values of a stream as a list, consumed: a window, then a consume."""
+    values = stream.window(k).tolist()
+    stream.consume(k)
+    return values
+
+
 def _replay_streams(seed, n, count):
     """First count draws of each stream, straight from SeedSequence(seed).spawn(2)."""
     children = np.random.SeedSequence(seed).spawn(2)
@@ -97,7 +104,7 @@ def _replay_streams(seed, n, count):
 def test_streams_replay_the_spawned_seed_sequence(seed):
     n, count = 37, _BUF + 5  # past the first refill of each stream
     s = new_state(n, AllDefect(), seed)
-    got = (list(itertools.islice(s._edges, count)), list(itertools.islice(s._uniforms, count)))
+    got = (_draw(s._edges, count), _draw(s._uniforms, count))
     assert got == _replay_streams(int(seed), n, count)
 
 
@@ -115,7 +122,7 @@ def test_drift_oracle_builds_no_seed_sequence(monkeypatch):
     assert one_step_drift(state, table).satisfied
     assert built == []  # a state that never steps builds no seed
     uniform_seed = ((3,), {"spawn_key": (1,)})
-    next(state._uniforms)  # the first draw of a stream builds its seed
+    _draw(state._uniforms, 1)  # the first draw of a stream builds its seed
     assert built == [uniform_seed]
     advance(state, Strategy.rp(0.3), 3 * _BUF)  # several refills of both streams
     assert built == [uniform_seed, ((3,), {"spawn_key": (0,)})]  # one per drawn stream
@@ -130,21 +137,10 @@ def test_streams_continue_across_advance_calls():
         assert state._edges is edges
     assert state.step_count == _BUF + 101
     # one edge per step, then the next draw picks up where advance stopped
-    assert next(state._edges) == _replay_streams(seed, n, _BUF + 102)[0][-1]
+    assert _draw(state._edges, 1) == _replay_streams(seed, n, _BUF + 102)[0][-1:]
     whole = new_state(n, AllDefect(), seed)
     assert advance(whole, Strategy.rp(0.3), _BUF + 101) is None
-    assert whole.states == state.states and next(whole._uniforms) == next(state._uniforms)
-
-
-@pytest.mark.parametrize("n", [100, 10_000])
-def test_streams_hand_out_plain_python_numbers(n):
-    # numpy scalars would make every comparison in advance slow; the draws
-    # just past the first buffer come from a refill
-    s = new_state(n, AllDefect(), 5)
-    for stream, kind in ((s._edges, int), (s._uniforms, float)):
-        assert type(next(stream)) is kind
-        assert {type(v) for v in itertools.islice(stream, _BUF)} == {kind}
-        assert type(next(stream)) is kind
+    assert whole.states == state.states and _draw(whole._uniforms, 1) == _draw(state._uniforms, 1)
 
 
 @pytest.mark.parametrize("n", [3, 37, _BUF + 3])
@@ -154,13 +150,13 @@ def test_bernoulli_start_matches_per_site_draws(n):
     seed, q = 8, 0.4
     _, uniforms = _replay_streams(seed, n, n + 3)
     per_site = new_state(n, AllCooperate(), seed)
-    want = [-1 if next(per_site._uniforms) < q else 1 for _ in range(n)]
+    want = [-1 if _draw(per_site._uniforms, 1)[0] < q else 1 for _ in range(n)]
     assert want == [-1 if u < q else 1 for u in uniforms[:n]]
     s = new_state(n, Bernoulli(q), seed)
     assert s.states == want and {type(x) for x in s.states} == {int}
     assert s.minus_count == want.count(-1)
-    assert [next(s._uniforms) for _ in range(3)] == uniforms[n:]
-    assert next(s._edges) == _replay_streams(seed, n, 1)[0][0]
+    assert _draw(s._uniforms, 3) == uniforms[n:]
+    assert _draw(s._edges, 1) == _replay_streams(seed, n, 1)[0]
 
 
 def test_strategy_validation():
@@ -289,7 +285,7 @@ def test_step_draws_uniforms_drawn(strat, states):
     out = step(s, strat)
     drawn = uniforms_drawn(*out.old_pair, strat)
     assert drawn == (0 if 1 in states else 1 if strat.kind is StrategyKind.SRP else 2)
-    assert next(s._uniforms) == uniforms[drawn]
+    assert _draw(s._uniforms, 1) == [uniforms[drawn]]
 
 
 def test_rp_branch_frequencies():
@@ -369,6 +365,8 @@ def test_step_locality_and_conservation():
         assert (s.states[i], s.states[j]) == out.new_pair
         assert (before[i], before[j]) == out.old_pair
         assert s.minus_count == s.states.count(-1)
+        # plain ints: the draws reach the states through .tolist() windows
+        assert type(out.edge) is int and {type(x) for x in s.states} == {int}
 
 
 def test_three_cycle_single_defector_enumeration():
@@ -437,8 +435,8 @@ def test_step_matches_advance_trajectories(strat, start, budget):
     outcome = advance(a, strat, budget)
     assert outcome is _step_until_absorbed(b, strat, budget)
     assert (a.states, a.step_count, a.minus_count) == (b.states, b.step_count, b.minus_count)
-    assert next(a._edges) == next(b._edges)
-    assert next(a._uniforms) == next(b._uniforms)
+    assert _draw(a._edges, 1) == _draw(b._edges, 1)
+    assert _draw(a._uniforms, 1) == _draw(b._uniforms, 1)
 
 
 def _contract_replay(n, q, strategy, seed, steps):
@@ -468,16 +466,27 @@ def _contract_replay(n, q, strategy, seed, steps):
     return states, drawn
 
 
-@pytest.mark.parametrize(
-    "strat",
-    [Strategy.rp(0.37), Strategy.srp(0.37), Strategy.pavlov(), Strategy.rp(0.0)],
-    ids=["rp", "srp", "pavlov", "rp-p0"],
-)
-def test_step_matches_advance_across_refills(strat):
+# An odd n leaves the uniform cursor odd after the Bernoulli start, and rp
+# and pavlov then draw in pairs, so every later refill boundary (a multiple
+# of _BUF) falls inside a pair: a window(2) with one value left in the
+# buffer.  An even n never splits a pair, and srp draws no pairs.
+REFILL_CASES = {
+    "rp": (Strategy.rp(0.37), 20000),
+    "srp": (Strategy.srp(0.37), 20000),
+    "pavlov": (Strategy.pavlov(), 20000),
+    "rp-p0": (Strategy.rp(0.0), 20000),
+    "rp-odd-n": (Strategy.rp(0.37), 20001),
+    "pavlov-odd-n": (Strategy.pavlov(), 20001),
+    "rp-p0-odd-n": (Strategy.rp(0.0), 20001),
+}
+
+
+@pytest.mark.parametrize("strat, n", REFILL_CASES.values(), ids=REFILL_CASES)
+def test_step_matches_advance_across_refills(strat, n):
     # Budgets that do not divide the buffer size, then plain steps, so both
     # streams refill mid-advance and mid-step.  The replay catches a draw
     # skipped or repeated at a refill, which step and advance would share.
-    n, q, seed = 20000, 0.9, 2024
+    q, seed = 0.9, 2024
     a = new_state(n, Bernoulli(q), seed)
     b = new_state(n, Bernoulli(q), seed)
     for budget in (7001, 9011, 12007, 8191):
@@ -497,23 +506,31 @@ def test_step_matches_advance_across_refills(strat):
 
 
 def _next_three(state):
-    return [next(state._edges) for _ in range(3)], [next(state._uniforms) for _ in range(3)]
+    return _draw(state._edges, 3), _draw(state._uniforms, 3)
 
 
 CHUNK_STRATEGIES = [make(p) for make in (Strategy.rp, Strategy.srp) for p in (0.0, 0.3, 1.0)]
+# every strategy at an even n, and rp at an odd n, where its pairs split
+# across refills (see REFILL_CASES)
+CHUNK_CASES = [
+    pytest.param(strat, n, id=f"{strat.kind.value}-{strat.p}" + ("-odd-n" if n % 2 else ""))
+    for n in (20000, 20001)
+    for strat in CHUNK_STRATEGIES
+    if n % 2 == 0 or strat.kind is StrategyKind.RP
+]
 
 
 @pytest.mark.parametrize(
     "budget", [_CHUNK - 1, _CHUNK, _CHUNK + 1, _BUF - 1, _BUF + 1, 3 * _BUF + 7]
 )
-@pytest.mark.parametrize("strat", CHUNK_STRATEGIES, ids=lambda s: f"{s.kind.value}-{s.p}")
-def test_advance_chunks_match_step_and_replay(strat, budget):
+@pytest.mark.parametrize("strat, n", CHUNK_CASES)
+def test_advance_chunks_match_step_and_replay(strat, n, budget):
     # Two advance calls against a step() loop, the second starting where the
     # first and three more draws left each stream's cursor.  None of these
     # runs absorbs within its budgets, so every chunk takes all of its picks.
     # After each call the next three draws of each stream, of both states,
     # are the replay's values at the counted positions.
-    n, q, seed = 20000, 0.9, 17
+    q, seed = 0.9, 17
     a = new_state(n, Bernoulli(q), seed)
     b = new_state(n, Bernoulli(q), seed)
     edges, uniforms = _replay_streams(seed, n, n + 4 * budget + 6)

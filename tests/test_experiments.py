@@ -1,6 +1,7 @@
 import concurrent.futures
 import math
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -231,7 +232,7 @@ def test_csv_formatting():
 def test_empty_record_list_gives_header_only(tmp_path):
     path = str(tmp_path / "empty.csv")
     emit_csv([], path)
-    assert open(path).read() == CSV_HEADER + "\n"
+    assert Path(path).read_text() == CSV_HEADER + "\n"
     assert parse_csv(path) == []
 
 
@@ -258,8 +259,8 @@ def test_charts_svg_well_formed_and_deterministic(tmp_path):
     p2 = str(tmp_path / "b.svg")
     render_phase_charts(cells, p1)
     render_phase_charts(cells, p2)
-    data = open(p1, "rb").read()
-    assert data == open(p2, "rb").read()
+    data = Path(p1).read_bytes()
+    assert data == Path(p2).read_bytes()
     root = ET.fromstring(data)
     assert root.tag.endswith("svg")
     body = data.decode()

@@ -20,14 +20,9 @@ from pavlov_cycle.meanfield import (
     closed_form_total,
     eigenvalue_check,
     integrate,
-    long_run_bound,
     rhs,
     tail_check,
 )
-
-# Decimal-arithmetic oracle values for the long-run bound formula
-BOUND_N4000 = 1472253217.1551082
-BOUND_N100000 = 1.4062515593571491
 
 
 # ---------------------------------------------------------------------------
@@ -405,30 +400,6 @@ def test_paper_style_tail_envelope_holds_with_fitted_gamma():
     for i in range(len(traj.taus)):
         for ell in range(3, 49):
             assert traj.P[i, ell] <= rep.gamma / base**ell * (1 + 1e-12)
-
-
-# ---------------------------------------------------------------------------
-# long-run probability bound
-
-
-def test_long_run_bound_frozen_values():
-    assert long_run_bound(0.1, 4000, 1e6, 1.0) == pytest.approx(BOUND_N4000, rel=1e-9)
-    assert long_run_bound(0.1, 100_000, 1e6, 1.0) == pytest.approx(BOUND_N100000, rel=1e-9)
-
-
-def test_long_run_bound_monotonicity():
-    assert long_run_bound(0.1, 4000, 2e6, 1.0) > long_run_bound(0.1, 4000, 1e6, 1.0)
-    assert long_run_bound(0.1, 8000, 1e6, 1.0) < long_run_bound(0.1, 4000, 1e6, 1.0)
-
-
-def test_long_run_bound_extreme_n_underflows_gracefully():
-    assert long_run_bound(0.1, 4_000_000, 1e6, 1.0) < 1e-300
-
-
-def test_long_run_bound_validation():
-    with pytest.raises(ValueError):
-        long_run_bound(0.1, 0, 1e6, 1.0)
-    assert long_run_bound(0.1, 100, 0, 1.0) == 0.0
 
 
 # ---------------------------------------------------------------------------
