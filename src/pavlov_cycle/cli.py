@@ -95,12 +95,15 @@ def _parse_init(text: str) -> InitConfig:
         if colon:
             raise UsageError(f"init {name} takes no argument, got {text!r}")
         return AllDefect() if name == "all-defect" else AllCooperate()
-    if name == "single-defector":
-        return SingleDefector(int(arg) if arg else 0)
-    if name == "bernoulli":
-        if not arg:
-            raise UsageError("bernoulli init needs a defect probability, e.g. bernoulli:0.5")
-        return Bernoulli(float(arg))
+    if name == "bernoulli" and not arg:
+        raise UsageError("bernoulli init needs a defect probability, e.g. bernoulli:0.5")
+    try:
+        if name == "single-defector":
+            return SingleDefector(int(arg) if arg else 0)
+        if name == "bernoulli":
+            return Bernoulli(float(arg))
+    except ValueError as exc:  # int()/float() name only the argument
+        raise UsageError(f"bad init {text!r}: {exc}") from None
     raise UsageError(f"unknown init {text!r}")
 
 
@@ -141,14 +144,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         with atomic_writer(args.trace) as out:
             out.write("step,minus_count,coop_fraction,minus_runs,plus_runs,longest_minus,longest_plus\n")
             snapshot(out)
-            outcome = None
-            while outcome is None and state.step_count < args.max_steps:
+            outcome = Outcome.CAPPED
+            while outcome is Outcome.CAPPED and state.step_count < args.max_steps:
                 budget = min(args.trace_every, args.max_steps - state.step_count)
                 outcome = advance(state, strategy, budget)
                 snapshot(out)
-        outcome = outcome or Outcome.CAPPED
     else:
-        outcome = advance(state, strategy, args.max_steps) or Outcome.CAPPED
+        outcome = advance(state, strategy, args.max_steps)
     print(
         f"outcome={outcome.value} steps={state.step_count} "
         f"coop_fraction={state.cooperator_fraction()!r}"
@@ -354,7 +356,7 @@ def build_parser() -> _Parser:
     sim = sub.add_parser("simulate", help="run one trajectory", parents=[common])
     sim.add_argument("--n", type=int, required=True, help="number of players on the cycle")
     sim.add_argument("--p", type=float, default=1.0, help="forgiveness parameter (default 1)")
-    sim.add_argument("--strategy", choices=["pavlov", "rp", "srp"], default="rp")
+    sim.add_argument("--strategy", choices=[kind.value for kind in StrategyKind], default="rp")
     sim.add_argument(
         "--init",
         default="all-defect",
@@ -377,7 +379,7 @@ def build_parser() -> _Parser:
     wt.add_argument("--p", type=float, required=True)
     wt.add_argument("--omega", type=float, default=1e-4, help="contraction budget (default 1e-4)")
     wt.add_argument("--n", type=int, default=100, help="cycle size (default 100)")
-    wt.add_argument("--strategy", choices=["pavlov", "rp", "srp"], default="rp")
+    wt.add_argument("--strategy", choices=[kind.value for kind in StrategyKind], default="rp")
     wt.add_argument("--out", default=None, help="write the weight table CSV here")
     wt.set_defaults(func=cmd_weights)
 

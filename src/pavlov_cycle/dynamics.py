@@ -318,13 +318,13 @@ def step(state: CycleState, strategy: Strategy) -> StepOutcome:
     return StepOutcome(i, (a, b), (na, nb))
 
 
-def advance(state: CycleState, strategy: Strategy, step_budget: int) -> Outcome | None:
+def advance(state: CycleState, strategy: Strategy, step_budget: int) -> Outcome:
     """Run at most step_budget further steps.
 
     Returns the absorbing outcome reached (all-plus always terminates; at
-    p = 0 all-minus does too) or None if the budget ran out first.  The state
-    is mutated in place and consumes randomness exactly as repeated step()
-    calls would, so a budget <= 0 or an absorbed state consumes nothing.
+    p = 0 all-minus does too) or Outcome.CAPPED if the budget ran out first.
+    The state is mutated in place and consumes randomness exactly as repeated
+    step() calls would, so a budget <= 0 or an absorbed state consumes nothing.
     Absorption is tested before the loop and then only where minus_count
     changes: all-plus after a (-,-) edge fully cooperates, all-minus after
     a defection.
@@ -351,9 +351,9 @@ def advance(state: CycleState, strategy: Strategy, step_budget: int) -> Outcome 
     states = state.states
     last = n - 1
     edges, uniforms = state._edges, state._uniforms
-    outcome: Outcome | None = None
+    outcome = Outcome.CAPPED
     budget = step_budget
-    while budget > 0 and outcome is None:
+    while budget > 0 and outcome is Outcome.CAPPED:
         take = min(budget, _CHUNK)
         picks = iter(edges.window(take).tolist())
         below = (uniforms.window(per_update * take) < p).view(np.uint8)
@@ -416,7 +416,7 @@ def run_until_absorbed(
     outcome = advance(state, strategy, max_steps)
     return RunResult(
         steps_taken=state.step_count,
-        outcome=outcome if outcome is not None else Outcome.CAPPED,
+        outcome=outcome,
         cooperator_fraction=state.cooperator_fraction(),
     )
 

@@ -51,28 +51,23 @@ class NoRootError(ValueError):
     """The requested series has no sign change in (0, 1)."""
 
 
-def _normalize_kind(kind: StrategyKind | str) -> StrategyKind:
-    kind = StrategyKind(kind)
-    # The deterministic strategy is the p = 1 member of either family.
-    if kind is StrategyKind.PAVLOV:
-        return StrategyKind.RP
-    return kind
+def _checked_family(kind: StrategyKind | str, p: float, omega: float) -> StrategyKind:
+    """The recurrence family of a public call whose arguments pass their checks.
 
-
-def _raw_weights(kind: StrategyKind | str, p: float, omega: float) -> Iterator[float]:
-    """Raw weights w[0], w[1], ... from the equality recurrence, without end.
-
-    The arguments are checked at once; each term is computed when it is
-    pulled, so a scan stops paying at the term that decides it.
+    Strategy checks (kind, p); pavlov, the p = 1 strategy, takes rp's recurrence.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
+    strategy = Strategy(kind, p)
     if not math.isfinite(omega) or omega < 0.0:
         raise ValueError(f"omega must be finite and >= 0, got {omega}")
-    return _recurrence(_normalize_kind(kind), p, omega)
+    return StrategyKind.SRP if strategy.kind is StrategyKind.SRP else StrategyKind.RP
 
 
-def _recurrence(kind: StrategyKind, p: float, omega: float) -> Iterator[float]:
+def _recurrence(family: StrategyKind, p: float, omega: float) -> Iterator[float]:
+    """Raw weights w[0], w[1], ... from the equality recurrence, without end.
+
+    Each term is computed when it is pulled, so a scan stops paying at the
+    term that decides it.
+    """
     prev = 1.0  # w[1]
     cur = (1.0 - 0.5 * omega) * prev  # w[2], from the singleton constraint
     yield 0.0
@@ -80,7 +75,7 @@ def _recurrence(kind: StrategyKind, p: float, omega: float) -> Iterator[float]:
     yield cur
     prefix = 0.0  # sum(w[0..l-2]) maintained incrementally
     ell = 2
-    if kind is StrategyKind.RP:
+    if family is StrategyKind.RP:
         a = p * (2.0 - p)
         b = p * (1.0 - p)
         c = p * p - 2.0 * p
@@ -103,7 +98,7 @@ def weight_recurrence(
     kind: StrategyKind | str, p: float, omega: float, l_max: int
 ) -> list[float]:
     """Raw weight sequence w[0..l_max] from the equality recurrence."""
-    return list(islice(_raw_weights(kind, p, omega), max(l_max + 1, 0)))
+    return list(islice(_recurrence(_checked_family(kind, p, omega), p, omega), max(l_max + 1, 0)))
 
 
 def _crossover_of(raw: Iterator[float]) -> tuple[list[float], int, float] | None:
@@ -131,12 +126,12 @@ def find_crossover(kind: StrategyKind | str, p: float) -> tuple[int, float] | No
     up to length 200 or a raw weight drops to <= 0 first.  An exactly flat
     step counts as still decreasing, which matters at p = 1.
     """
-    found = _crossover_of(_raw_weights(kind, p, 0.0))
+    found = _crossover_of(_recurrence(_checked_family(kind, p, 0.0), p, 0.0))
     return None if found is None else found[1:]
 
 
 def _series_value(series: str, ell: int, p: float) -> float:
-    w = weight_recurrence(StrategyKind.RP, p, 0.0, ell + 1)
+    w = list(islice(_recurrence(StrategyKind.RP, p, 0.0), ell + 2))
     if series == _RATIO_SERIES:
         return w[ell + 1] / (ell + 1) - w[ell] / ell
     if series == _INCREMENT_SERIES:
@@ -303,18 +298,22 @@ class WeightTable:
 
 def build_weight_table(kind: StrategyKind | str, p: float, omega: float, n: int) -> WeightTable:
     """Construct the weight table, or raise InfeasibleParameterError."""
+    return _build_table(_checked_family(kind, p, omega), p, omega, n)
+
+
+def _build_table(family: StrategyKind, p: float, omega: float, n: int) -> WeightTable:
+    """build_weight_table for arguments _checked_family has passed."""
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
-    kind = _normalize_kind(kind)
-    found = _crossover_of(_raw_weights(kind, p, omega))
+    found = _crossover_of(_recurrence(family, p, omega))
     if found is None:
         raise InfeasibleParameterError(
-            f"no weight certificate for {kind.value} at p = {p}, omega = {omega}: "
+            f"no weight certificate for {family.value} at p = {p}, omega = {omega}: "
             f"the ratio w[l]/l never turns upward (searched l <= {_L_CAP})"
         )
     w_hat, crossover, slope = found
     return WeightTable(
-        kind=kind,
+        kind=family,
         p=p,
         omega=omega,
         n=n,
@@ -476,11 +475,12 @@ def one_step_drift(state: CycleState, table: WeightTable) -> DriftReport:
 def min_feasible_p(kind: StrategyKind | str, omega: float, n: int, tol: float = 1e-3) -> float:
     """Smallest p (to within tol) with a crossover and all constraints feasible."""
     check_tol(tol)
-    kind = _normalize_kind(kind)
+    # The search starts at p = 0, so pavlov, the p = 1 strategy, is refused.
+    family = _checked_family(kind, 0.0, omega)
 
     def feasible(p: float) -> bool:
         try:
-            table = build_weight_table(kind, p, omega, n)
+            table = _build_table(family, p, omega, n)
         except InfeasibleParameterError:
             return False
         return check_constraints(table).feasible
@@ -494,7 +494,7 @@ def min_feasible_p(kind: StrategyKind | str, omega: float, n: int, tol: float = 
             break
     if hi is None:
         raise InfeasibleParameterError(
-            f"no feasible p in [0, 1] for {kind.value} at omega = {omega}, n = {n}"
+            f"no feasible p in [0, 1] for {family.value} at omega = {omega}, n = {n}"
         )
     return _bisect(feasible, max(hi - 1.0 / grid, 0.0), hi, tol)[1]
 

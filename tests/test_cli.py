@@ -1,12 +1,18 @@
+import contextlib
 import hashlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import pavlov_cycle
 from pavlov_cycle import _native, cli, experiments
@@ -266,6 +272,17 @@ def test_simulate_bad_init(capsys):
     code, _, err = run_cli(capsys, "simulate", "--n", "10", "--init", "zebra", "--quiet")
     assert code == 1
     assert "unknown init" in err
+
+
+@pytest.mark.parametrize("init", ["single-defector:x", "single-defector:1.5", "bernoulli:abc", "bernoulli:2"])
+def test_bad_init_argument_names_the_init(capsys, tmp_path, init):
+    # int() and float() used to print only the argument: "could not convert string to float: 'abc'"
+    code, out, err = run_cli(capsys, "simulate", "--n", "10", "--init", init, "--quiet")
+    assert (code, out) == (1, "") and err.startswith(f"error: bad init {init!r}: ")
+    cfg = _write_config(tmp_path, init=init)
+    code, out, err = run_cli(capsys, "sweep", "--config", cfg, "--out-dir", str(tmp_path / "out"), "--quiet")
+    assert (code, out) == (1, "") and err.startswith(f"error: bad init {init!r}: ")
+    assert sorted(os.listdir(tmp_path)) == ["config.json"]
 
 
 @pytest.mark.parametrize("init", ["all-defect:junk", "all-cooperate:7", "all-defect:"])
@@ -791,3 +808,117 @@ def test_runs_without_integrate_load_no_build_tools(argv, modules):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "0"
+
+
+# ---------------------------------------------------------------------------
+# robustness: any argv ends in exit 0, 1 or 2
+
+
+MALFORMED = ["nan", "1e999", "-0", "x", ""]
+CONFIG_MALFORMED = [math.nan, math.inf, -0.0, "x", "", None, [math.nan], [math.inf], [-0.0], ["x"], []]
+
+# Each subcommand's options with a few valid values, all small: n <= 40
+# (200 for weights), L <= 32, at most 10^3 RK4 steps, --threads 1 or 2.
+# "{tmp}" stands for the example's own directory, where every path points.
+CLI_OPTIONS = {
+    "simulate": {
+        "--n": ["3", "10", "40"],
+        "--max-steps": ["1", "100", "10000"],
+        "--p": ["0", "0.3", "1"],
+        "--strategy": ["pavlov", "rp", "srp"],
+        "--init": [
+            "all-defect",
+            "all-cooperate",
+            "single-defector:2",
+            "bernoulli:0.5",
+            *(f"{name}:{m}" for name in ("single-defector", "bernoulli") for m in MALFORMED),
+        ],
+        "--seed": ["0", "7"],
+        "--trace": ["{tmp}/trace.csv", "{tmp}/"],
+        "--trace-every": ["1", "1000"],
+    },
+    "sweep": {
+        "--config": ["{tmp}/config.json"],
+        "--out-dir": ["{tmp}/out", "{tmp}/config.json"],
+        "--threads": ["1", "2"],
+    },
+    "weights": {
+        "--p": ["0.5", "0.9", "1"],
+        "--n": ["3", "20", "200"],
+        "--omega": ["0", "1e-4", "0.5"],
+        "--strategy": ["pavlov", "rp", "srp"],
+        "--out": ["{tmp}/table.csv", "{tmp}/"],
+    },
+    "thresholds": {
+        "--series": ["h", "f"],
+        "--lmax": ["1", "8", "20"],
+        "--tol": ["1e-6", "1e-3", "1e-300"],
+    },
+    "meanfield": {
+        "--p": ["0.1", "0.5", "0.9"],
+        "--tau-end": ["0", "0.5", "1"],
+        "--dt": ["0.001", "0.01"],
+        "--L": ["3", "8", "32"],
+        "--csv-cols": ["0", "3", "40"],
+        "--out": ["{tmp}/traj.csv", "{tmp}/"],
+    },
+    "defect-time": {
+        "--n": ["3", "10", "40"],
+        "--reps": ["1", "5"],
+        "--seed": ["0", "3"],
+    },
+}
+# The first options of each command are always passed, the rest may be: so
+# simulate's step cap is at most 10^4, or malformed and refused.
+ALWAYS_PASSED = {"simulate": 2, "sweep": 2, "weights": 1, "thresholds": 1, "meanfield": 1, "defect-time": 1}
+CONFIG_VALUES = {
+    "n_list": [[3], [10, 40]],
+    "p_list": [[0.0], [0.5, 1.0]],
+    "strategy": ["rp", "srp", "pavlov"],
+    "reps": [1, 3],
+    "master_seed": [0, 5],
+    "init": ["all-defect", "bernoulli:0.5", "single-defector:1", "bernoulli:x"],
+}
+
+
+def _operand(draw, valid, malformed):
+    """One of the valid values, or one time in four a malformed one."""
+    return draw(st.sampled_from(malformed if draw(st.integers(0, 3)) == 0 else valid))
+
+
+@st.composite
+def _cli_case(draw):
+    """(argv, sweep config or None): valid and malformed operands mixed."""
+    command = draw(st.sampled_from(sorted(CLI_OPTIONS)))
+    options = CLI_OPTIONS[command]
+    flags = list(options)
+    always = ALWAYS_PASSED[command]
+    chosen = flags[:always] + draw(st.lists(st.sampled_from(flags[always:]), unique=True))
+    argv = [command, "--quiet"]
+    for flag in chosen:
+        valid = options[flag]
+        # a malformed path stays in the example's directory too
+        path = valid[0].startswith("{tmp}")
+        argv += [flag, _operand(draw, valid, [f"{{tmp}}/{m}" for m in MALFORMED] if path else MALFORMED)]
+    if draw(st.integers(0, 7)) == 0:  # a flag with its operand missing
+        argv.append(draw(st.sampled_from(flags)))
+    config = None
+    if command == "sweep":
+        keys = ["n_list", "p_list"] + draw(st.lists(st.sampled_from(list(CONFIG_VALUES)[2:]), unique=True))
+        config = {"max_steps": _operand(draw, [1, 100, 10_000], CONFIG_MALFORMED)}
+        for key in keys:
+            config[key] = _operand(draw, CONFIG_VALUES[key], CONFIG_MALFORMED)
+    return argv, config
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_cli_case())
+def test_any_argv_ends_in_an_exit_code(case):
+    argv, config = case
+    with tempfile.TemporaryDirectory() as tmp:
+        if config is not None:
+            Path(tmp, "config.json").write_text(json.dumps(config))  # NaN and Infinity included
+        argv = [arg.replace("{tmp}", tmp) for arg in argv]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+    assert code in (0, 1, 2), argv

@@ -133,13 +133,13 @@ def test_streams_continue_across_advance_calls():
     state = new_state(n, AllDefect(), seed)
     edges = state._edges
     for budget in (100, 1, _BUF):  # the last call crosses a refill
-        assert advance(state, Strategy.rp(0.3), budget) is None
+        assert advance(state, Strategy.rp(0.3), budget) is Outcome.CAPPED
         assert state._edges is edges
     assert state.step_count == _BUF + 101
     # one edge per step, then the next draw picks up where advance stopped
     assert _draw(state._edges, 1) == _replay_streams(seed, n, _BUF + 102)[0][-1:]
     whole = new_state(n, AllDefect(), seed)
-    assert advance(whole, Strategy.rp(0.3), _BUF + 101) is None
+    assert advance(whole, Strategy.rp(0.3), _BUF + 101) is Outcome.CAPPED
     assert whole.states == state.states and _draw(whole._uniforms, 1) == _draw(state._uniforms, 1)
 
 
@@ -381,19 +381,19 @@ def test_three_cycle_single_defector_enumeration():
 
 
 def _absorbed(state, strat):
-    """The outcome advance reports for a state it cannot move: all-plus, or all-minus at p = 0."""
+    """The outcome advance reports for a state it stops at: all-plus, all-minus at p = 0, else capped."""
     if state.minus_count == 0:
         return Outcome.ALL_PLUS
     if strat.p == 0.0 and state.minus_count == state.n:
         return Outcome.ALL_MINUS
-    return None
+    return Outcome.CAPPED
 
 
 def _steps_drawing(state, strat, budget):
     """step() at most ``budget`` times, stopping where advance stops; uniforms drawn."""
     drawn = 0
     for _ in range(budget):
-        if _absorbed(state, strat):
+        if _absorbed(state, strat) is not Outcome.CAPPED:
             break
         drawn += uniforms_drawn(*step(state, strat).old_pair, strat)
     return drawn
@@ -428,7 +428,7 @@ def test_step_matches_advance_trajectories(strat, start, budget):
     n, init = TRAJECTORY_STARTS[start]
     if budget in ("absorbing", "past"):
         probe = new_state(n, init, 99)
-        assert _step_until_absorbed(probe, strat, 10**5) is not None
+        assert _step_until_absorbed(probe, strat, 10**5) is not Outcome.CAPPED
         budget = probe.step_count + (budget == "past")
     a = new_state(n, init, 99)
     b = new_state(n, init, 99)
@@ -536,7 +536,7 @@ def test_advance_chunks_match_step_and_replay(strat, n, budget):
     edges, uniforms = _replay_streams(seed, n, n + 4 * budget + 6)
     used_edges, used_uniforms = 0, n
     for _ in range(2):
-        assert advance(a, strat, budget) is None
+        assert advance(a, strat, budget) is Outcome.CAPPED
         drawn = _steps_drawing(b, strat, budget)
         assert (a.states, a.step_count, a.minus_count) == (b.states, b.step_count, b.minus_count)
         used_edges += budget
@@ -560,7 +560,7 @@ def test_advance_absorbs_inside_a_later_chunk(strat, n):
     drawn = _steps_drawing(b, strat, 10**6)
     absorbed_at = b.step_count
     outcome = _absorbed(b, strat)
-    assert outcome is not None and absorbed_at > _CHUNK and absorbed_at % _CHUNK
+    assert outcome is not Outcome.CAPPED and absorbed_at > _CHUNK and absorbed_at % _CHUNK
     a = new_state(n, Bernoulli(0.5), seed)
     assert advance(a, strat, 10 * absorbed_at) is outcome
     assert (a.states, a.step_count, a.minus_count) == (b.states, absorbed_at, b.minus_count)

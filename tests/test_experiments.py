@@ -1,5 +1,6 @@
 import concurrent.futures
 import math
+import re
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -46,6 +47,16 @@ def test_splitmix64_reference_values():
 def test_derive_seed_frozen_vectors():
     for (master, idxs), expected in SEED_VECTORS.items():
         assert derive_seed(master, *idxs) == expected
+
+
+def test_readme_seed_vectors_are_the_code_and_the_table():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    documented = {}
+    for args, value in re.findall(r"derive_seed\(([\d, ]+)\) = (\d+)", readme):
+        master, *idxs = map(int, args.split(","))
+        documented[master, tuple(idxs)] = int(value)
+        assert derive_seed(master, *idxs) == int(value), args
+    assert documented == SEED_VECTORS
 
 
 def test_derive_seed_order_sensitive_and_64bit():

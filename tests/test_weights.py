@@ -155,7 +155,8 @@ def test_crossover_bounded_by_eight_in_fast_region():
 
 def _full_recurrence(kind, p, omega, l_max):
     """w[0..l_max] built as one list, the way the recurrence was before it stopped early."""
-    kind = weights._normalize_kind(kind)
+    # pavlov, the p = 1 strategy, takes the rp recurrence
+    kind = StrategyKind.RP if kind == "pavlov" else StrategyKind(kind)
     w = [0.0, 1.0]
     if l_max < 1:
         return w[: l_max + 1]
@@ -189,7 +190,7 @@ def _scan_counting_pulls(kind, p, omega):
     pulled = []
 
     def counted():
-        for value in weights._raw_weights(kind, p, omega):
+        for value in weights._recurrence(StrategyKind(kind), p, omega):
             pulled.append(value)
             yield value
 
@@ -235,8 +236,8 @@ def test_weight_table_matches_full_scan(kind, omega):
 
 @pytest.mark.parametrize("l_max", [-1, 0, 1, 2, 3, 201])
 def test_weight_recurrence_is_the_full_list(l_max):
-    for kind in ("rp", "srp", "pavlov"):
-        for p in (0.0, 0.3, 0.87, 1.0):
+    for kind, ps in (("rp", (0.0, 0.3, 0.87, 1.0)), ("srp", (0.0, 0.3, 0.87, 1.0)), ("pavlov", (1.0,))):
+        for p in ps:
             for omega in (0.0, 1e-4):
                 got = weight_recurrence(kind, p, omega, l_max)
                 want = _full_recurrence(kind, p, omega, l_max)
@@ -244,10 +245,62 @@ def test_weight_recurrence_is_the_full_list(l_max):
                 assert type(got) is list and np.array(got).tobytes() == np.array(want).tobytes()
 
 
-def test_raw_weights_checks_its_arguments_before_the_first_pull():
-    for kind, p, omega in (("rp", 1.5, 0.0), ("rp", 0.5, -1.0), ("rp", 0.5, math.nan), ("xx", 0.5, 0.0)):
-        with pytest.raises(ValueError):
-            weights._raw_weights(kind, p, omega)  # no next(): a generator would not raise yet
+def test_public_entry_points_refuse_a_bad_omega():
+    # the kind and p are Strategy's to refuse (below)
+    for omega in (-1.0, math.nan, math.inf):
+        for call in (
+            lambda: weight_recurrence("rp", 0.5, omega, 5),
+            lambda: build_weight_table("rp", 0.9, omega, 20),
+            lambda: min_feasible_p("srp", omega, 20),
+        ):
+            with pytest.raises(ValueError, match="omega must be finite"):
+                call()
+
+
+PUBLIC_ENTRY_POINTS = {
+    "weight_recurrence": lambda kind, p: weight_recurrence(kind, p, 0.0, 5),
+    "find_crossover": find_crossover,
+    "build_weight_table": lambda kind, p: build_weight_table(kind, p, 1e-4, 20),
+}
+
+
+@pytest.mark.parametrize("call", PUBLIC_ENTRY_POINTS.values(), ids=PUBLIC_ENTRY_POINTS)
+@pytest.mark.parametrize(
+    "kind, p, message",
+    [
+        ("pavlov", 0.9, "pavlov is the p = 1 strategy"),
+        ("pavlov", 0.5, "pavlov is the p = 1 strategy"),
+        ("pavlov", 0.3, "pavlov is the p = 1 strategy"),
+        ("rp", 1.5, "p must lie in"),
+        ("srp", math.nan, "p must lie in"),
+        ("xx", 0.5, "is not a valid StrategyKind"),
+    ],
+)
+def test_public_entry_points_refuse_what_strategy_refuses(call, kind, p, message):
+    # pavlov below p = 1 used to give the rp answer at that p
+    with pytest.raises(ValueError, match=message):
+        Strategy(kind, p)
+    with pytest.raises(ValueError, match=message):
+        call(kind, p)
+
+
+@pytest.mark.parametrize("kind, message", [("pavlov", "pavlov is the p = 1 strategy"), ("xx", "not a valid")])
+def test_min_feasible_p_refuses_a_kind_without_p_below_1(kind, message):
+    # its search runs over p in [0, 1]; pavlov used to return rp's 0.8701
+    with pytest.raises(ValueError, match=message):
+        min_feasible_p(kind, 1e-4, 100)
+
+
+def test_pavlov_table_is_the_rp_table_at_p_1():
+    for omega in (0.0, 1e-4):
+        pavlov = build_weight_table("pavlov", 1.0, omega, 40)
+        rp = build_weight_table("rp", 1.0, omega, 40)
+        assert pavlov == rp
+        assert np.array(pavlov.weights).tobytes() == np.array(rp.weights).tobytes()
+        assert np.array(check_constraints(pavlov).run_margins).tobytes() == np.array(
+            check_constraints(rp).run_margins
+        ).tobytes()
+    assert find_crossover("pavlov", 1.0) == find_crossover("rp", 1.0)
 
 
 # ---------------------------------------------------------------------------
