@@ -77,6 +77,8 @@ class SweepConfig:
             raise ValueError(f"reps must be >= 1, got {self.reps}")
         if self.max_steps < 1:
             raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
+        if not 0 <= self.master_seed <= _MASK64:  # derive_seed reads it mod 2^64
+            raise ValueError(f"master_seed must be in [0, 2^64), got {self.master_seed}")
 
 
 @dataclass(frozen=True)

@@ -101,6 +101,11 @@ def weight_recurrence(
     return list(islice(_recurrence(_checked_family(kind, p, omega), p, omega), max(l_max + 1, 0)))
 
 
+def _ratio_rise(w_ell: float, w_next: float, ell: int) -> float:
+    """l(l+1) (w[l+1]/(l+1) - w[l]/l), > 0 exactly where the ratio w/l turns upward."""
+    return w_next * ell - w_ell * (ell + 1)
+
+
 def _crossover_of(raw: Iterator[float]) -> tuple[list[float], int, float] | None:
     """Pull raw weights until the crossover or a weight <= 0, whichever comes first.
 
@@ -112,7 +117,7 @@ def _crossover_of(raw: Iterator[float]) -> tuple[list[float], int, float] | None
         nxt = next(raw)
         if nxt <= 0.0:
             return None
-        if nxt * ell > w[ell] * (ell + 1):  # w[l+1]/(l+1) > w[l]/l
+        if _ratio_rise(w[ell], nxt, ell) > 0.0:
             return w, ell, w[ell] / ell
         w.append(nxt)
     return None
@@ -133,7 +138,7 @@ def find_crossover(kind: StrategyKind | str, p: float) -> tuple[int, float] | No
 def _series_value(series: str, ell: int, p: float) -> float:
     w = list(islice(_recurrence(StrategyKind.RP, p, 0.0), ell + 2))
     if series == _RATIO_SERIES:
-        return w[ell + 1] / (ell + 1) - w[ell] / ell
+        return _ratio_rise(w[ell], w[ell + 1], ell)  # sign of h(l), scaled by l(l+1)
     if series == _INCREMENT_SERIES:
         return w[ell + 1] - w[ell]
     raise ValueError(f"series must be 'h' or 'f', got {series!r}")
@@ -169,28 +174,21 @@ def threshold_bisect(series: str, ell: int, tol: float = 1e-6) -> float:
     Series 'h' is the forward difference of the per-length ratio w[l]/l;
     series 'f' is the forward difference of the raw weights.  Both are
     evaluated from the rp omega = 0 recurrence, so each is a polynomial in p,
-    negative below its threshold and positive above.  Raises NoRootError
-    when no sign change exists (e.g. h at l = 1 is identically -1/2).
+    negative below its threshold and positive above.  Bisects [0, 1] to width
+    tol; raises NoRootError unless the series is > 0 at p = 1 and < 0 at the
+    final lower end (h at l = 1 is identically -1/2).
     """
     if ell < 1:
         raise ValueError(f"ell must be >= 1, got {ell}")
     check_tol(tol)
-    grid = 64
-    prev = _series_value(series, ell, 0.0)
-    for k in range(1, grid + 1):
-        q = k / grid
-        val = _series_value(series, ell, q)
-        if prev < 0.0 < val:
-            lo, hi = (k - 1) / grid, q
-            break
-        prev = val
-    else:
-        raise NoRootError(f"series {series!r} at length {ell} has no root in (0, 1)")
-    lo, hi = _bisect(lambda q: _series_value(series, ell, q) > 0.0, lo, hi, tol)
-    return 0.5 * (lo + hi)
+    if _series_value(series, ell, 1.0) > 0.0:
+        lo, hi = _bisect(lambda q: _series_value(series, ell, q) > 0.0, 0.0, 1.0, tol)
+        if _series_value(series, ell, lo) < 0.0:
+            return 0.5 * (lo + hi)
+    raise NoRootError(f"series {series!r} at length {ell} has no root in (0, 1)")
 
 
-def certified_cutoff(series: str, ell: int, root: float | None = None) -> float:
+def certified_cutoff(series: str, ell: int, root: float) -> float:
     """Tightest 3-decimal rp parameter bound for which the one-sided claim holds.
 
     For the ratio series the claim is "h(l) <= 0 for all p up to the bound"
@@ -198,10 +196,8 @@ def certified_cutoff(series: str, ell: int, root: float | None = None) -> float:
     series it is "f(l) >= 0 from the bound up to 1" (smallest such 3-dp
     value, the root rounded up).  Both directions are re-verified against
     the series itself, so the result is a certified grid bound rather than a
-    display rounding of the root.
+    display rounding of threshold_bisect's root.
     """
-    if root is None:
-        root = threshold_bisect(series, ell)
     if series == _RATIO_SERIES:
         k = math.floor(root * 1000.0)
         while k > 0 and _series_value(series, ell, k / 1000.0) > 0.0:
@@ -485,6 +481,7 @@ def min_feasible_p(kind: StrategyKind | str, omega: float, n: int, tol: float = 
             return False
         return check_constraints(table).feasible
 
+    # A scan, not a bisection of [0, 1]: probes below the threshold fail cheaply at the crossover.
     grid = 128
     hi = None
     for k in range(grid + 1):

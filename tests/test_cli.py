@@ -67,6 +67,22 @@ def test_thresholds_f_table(capsys):
     assert bounds == {3: 0.689, 4: 0.805, 5: 0.850, 6: 0.865, 7: 0.869}
 
 
+@pytest.mark.parametrize(
+    "series, digest",
+    [
+        ("h", "1650857df746c1045e87c16b1125fa96a8282fd7b8709bc1d01986e168a45349"),
+        ("f", "dda6beac7d2facb0dc8508d9d66b5eb656b7c7c04eb9d51794edd4c4d9b6f9ff"),
+    ],
+    ids=["h", "f"],
+)
+def test_thresholds_table_to_length_60_is_pinned(capsys, series, digest):
+    # Frozen from the search that first scanned a 1/64 grid for a bracket;
+    # bisecting [0, 1] directly gives the same bytes.
+    code, out, _ = run_cli(capsys, "thresholds", "--series", series, "--lmax", "60", "--quiet")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_thresholds_tol_below_float_spacing(capsys):
     # In a child process with a timeout: once the bisection interval held
     # adjacent floats its midpoint rounded to an end and the loop never ended.
@@ -570,6 +586,15 @@ def test_failed_sweep_keeps_an_existing_directory(capsys, tmp_path):
     assert (out_dir / "records.csv").read_text() == "earlier run\n"
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_sweep_refuses_a_master_seed_outside_64_bits(capsys, tmp_path, seed):
+    cfg = _write_config(tmp_path, master_seed=seed)
+    code, out, err = run_cli(capsys, "sweep", "--config", cfg, "--out-dir", str(tmp_path / "x"), "--quiet")
+    assert (code, out) == (1, "")
+    assert err == f"error: master_seed must be in [0, 2^64), got {seed}\n"
+    assert not os.path.exists(tmp_path / "x")
+
+
 @pytest.mark.parametrize(
     "raw",
     [
@@ -713,6 +738,19 @@ def test_defect_time_rejects_n_below_3(capsys, n):
     assert (code, out, err) == (1, "", f"error: every n must be >= 3, got {n}\n")
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_defect_time_refuses_a_seed_outside_64_bits(capsys, seed):
+    # Both used to run: -1 as 2^64 - 1 and 2^64 as 0, each echoed as given.
+    code, out, err = run_cli(capsys, "defect-time", "--n", "20", "--reps", "5", "--seed", seed, "--quiet")
+    assert (code, out) == (1, "")
+    assert err == f"error: master_seed must be in [0, 2^64), got {seed}\n"
+
+
+def test_defect_time_takes_the_largest_64_bit_seed(capsys):
+    code, out, _ = run_cli(capsys, "defect-time", "--n", "20", "--reps", "5", "--seed", str(2**64 - 1), "--quiet")
+    assert code == 0 and out.startswith("n=20 reps=5 mean_steps=")
+
+
 # ---------------------------------------------------------------------------
 # front-end behaviour
 
@@ -742,6 +780,26 @@ def test_help_documents_defaults(capsys):
     main(["simulate", "--help"])
     out = capsys.readouterr().out
     assert "43000000" in out
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_closed_stdout_exits_1_quietly(unbuffered):
+    # A closed stdout used to print "error: [Errno 32] Broken pipe", or, with
+    # stdout buffered, "Exception ignored ... BrokenPipeError" and exit 120.
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pavlov_cycle.cli", "defect-time", "--n", "20", "--reps", "5", "--quiet"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, b"")
 
 
 def test_trace_and_meanfield_outputs_byte_identical(capsys, tmp_path):

@@ -321,9 +321,9 @@ def test_increment_series_roots_match_exact_oracle():
 
 def test_certified_bounds_reproduce_published_tables():
     for ell, bound in PUBLISHED_H_BOUNDS.items():
-        assert certified_cutoff("h", ell) == pytest.approx(bound, abs=1e-12)
+        assert certified_cutoff("h", ell, threshold_bisect("h", ell)) == pytest.approx(bound, abs=1e-12)
     for ell, bound in PUBLISHED_F_BOUNDS.items():
-        assert certified_cutoff("f", ell) == pytest.approx(bound, abs=1e-12)
+        assert certified_cutoff("f", ell, threshold_bisect("f", ell)) == pytest.approx(bound, abs=1e-12)
 
 
 def test_no_root_cases():
@@ -332,9 +332,20 @@ def test_no_root_cases():
     with pytest.raises(NoRootError):
         threshold_bisect("h", 2)  # <= 0 on [0, 1], root only at p = 1
     with pytest.raises(NoRootError):
+        threshold_bisect("h", 3)  # < 0 on [0, 1), 0 at p = 1
+    with pytest.raises(NoRootError):
         threshold_bisect("f", 1)  # identically 0
     with pytest.raises(NoRootError):
         threshold_bisect("f", 2)  # p^2/2 >= 0 everywhere
+
+
+def test_diagnostic_series_turn_positive_at_most_once():
+    # threshold_bisect bisects [0, 1] with no scan for a bracket, which is
+    # sound only while "series > 0" holds on an upper end of [0, 1].
+    for series in ("h", "f"):
+        for ell in range(1, 61):
+            positive = [weights._series_value(series, ell, k / 1024) > 0.0 for k in range(1025)]
+            assert positive == sorted(positive), (series, ell)
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-6])
@@ -843,6 +854,7 @@ def test_min_feasible_p_stops_at_adjacent_floats(monkeypatch):
     # bisection can only end at adjacent floats.  It used to loop forever;
     # counting table builds turns a relapse into a failure, not a hang.
     build = weights.build_weight_table
+    build_table = weights._build_table
 
     def feasible(p):
         try:
@@ -857,10 +869,11 @@ def test_min_feasible_p_stops_at_adjacent_floats(monkeypatch):
         nonlocal calls
         calls += 1
         assert calls < 1000, "bisection does not terminate"
-        return build(*args)
+        return build_table(*args)
 
-    monkeypatch.setattr(weights, "build_weight_table", counted)
+    monkeypatch.setattr(weights, "_build_table", counted)
     p0 = min_feasible_p("rp", 1e-4, 10, 1e-300)
+    assert calls > 0, "the counter sees no table builds"
     assert p0 <= coarse <= p0 + 1e-3
     assert feasible(p0) and not feasible(math.nextafter(p0, 0.0))
 
