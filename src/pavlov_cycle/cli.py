@@ -63,7 +63,6 @@ from .weights import (
     build_weight_table,
     certified_cutoff,
     check_constraints,
-    check_tol,
     threshold_bisect,
     write_weight_table_csv,
 )
@@ -283,16 +282,15 @@ def cmd_thresholds(args: argparse.Namespace) -> int:
     if args.lmax < 1:
         raise UsageError(f"--lmax must be >= 1, got {args.lmax}")
     _echo_config(args)
-    check_tol(args.tol)  # before the header, so a rejected --tol prints nothing
-    print("ell,root,bound")
+    rows = ["ell,root,bound"]
     for ell in range(1, args.lmax + 1):
         try:
             root = threshold_bisect(args.series, ell, args.tol)
         except NoRootError:
-            print(f"{ell},none,none")
+            rows.append(f"{ell},none,none")
             continue
-        bound = certified_cutoff(args.series, ell, root)
-        print(f"{ell},{root:.6f},{bound:.3f}")
+        rows.append(f"{ell},{root:.6f},{certified_cutoff(args.series, ell, root):.3f}")
+    print("\n".join(rows))
     return 0
 
 
@@ -411,8 +409,11 @@ def build_parser() -> _Parser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        code = args.func(args)
+        try:
+            args = parser.parse_args(argv)
+            code = args.func(args)
+        except SystemExit as exc:  # argparse --help/--version, their text perhaps still buffered
+            code = int(exc.code or 0)
         sys.stdout.flush()  # so that a closed stdout raises here, not at exit
         return code
     except BrokenPipeError:  # no reader is left to tell; devnull takes the flush at exit
@@ -430,8 +431,6 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError:  # e.g. an n too large for the state's list
         print("error: out of memory", file=sys.stderr)
         return 1
-    except SystemExit as exc:  # argparse --help/--version
-        return int(exc.code or 0)
 
 
 def entry() -> None:

@@ -41,6 +41,7 @@ _L_CAP = 200
 
 _RATIO_SERIES = "h"
 _INCREMENT_SERIES = "f"
+_CLAIM_SIDE = {_RATIO_SERIES: -1, _INCREMENT_SERIES: 1}  # the side of its bound each claim covers
 
 
 class InfeasibleParameterError(ValueError):
@@ -144,9 +145,8 @@ def _series_value(series: str, ell: int, p: float) -> float:
     raise ValueError(f"series must be 'h' or 'f', got {series!r}")
 
 
-def check_tol(tol: float) -> None:
-    """Reject a bisection tolerance that is not finite and > 0."""
-    # nan and inf would pass a plain tol <= 0 test and skip the bisection.
+def _check_tol(tol: float) -> None:
+    """Reject a bisection tolerance that is not finite and > 0 (a plain tol <= 0 lets nan pass)."""
     if not math.isfinite(tol) or tol <= 0.0:
         raise ValueError(f"tol must be finite and > 0, got {tol}")
 
@@ -171,17 +171,19 @@ def _bisect(pred: Callable[[float], bool], lo: float, hi: float, tol: float) -> 
 def threshold_bisect(series: str, ell: int, tol: float = 1e-6) -> float:
     """Root in (0, 1) of the chosen rp diagnostic series at fixed run length.
 
-    Series 'h' is the forward difference of the per-length ratio w[l]/l;
-    series 'f' is the forward difference of the raw weights.  Both are
-    evaluated from the rp omega = 0 recurrence, so each is a polynomial in p,
-    negative below its threshold and positive above.  Bisects [0, 1] to width
-    tol; raises NoRootError unless the series is > 0 at p = 1 and < 0 at the
-    final lower end (h at l = 1 is identically -1/2).
+    Series 'h' is the forward difference of the per-length ratio w[l]/l and
+    'f' that of the raw weights, both from the rp omega = 0 recurrence: each
+    is a polynomial in p, negative below its threshold and positive above.
+    Bisects [0, 1] to width tol; raises NoRootError unless the series is > 0
+    at p = 1 and < 0 at the final lower end (h at l = 1 is identically -1/2),
+    and ValueError once the weights at p = 1 overflow (h from l = 196, f 198).
     """
     if ell < 1:
         raise ValueError(f"ell must be >= 1, got {ell}")
-    check_tol(tol)
-    if _series_value(series, ell, 1.0) > 0.0:
+    _check_tol(tol)
+    if math.isnan(top := _series_value(series, ell, 1.0)):
+        raise ValueError(f"series {series!r} at length {ell} overflows a double at p = 1")
+    if top > 0.0:
         lo, hi = _bisect(lambda q: _series_value(series, ell, q) > 0.0, 0.0, 1.0, tol)
         if _series_value(series, ell, lo) < 0.0:
             return 0.5 * (lo + hi)
@@ -194,23 +196,22 @@ def certified_cutoff(series: str, ell: int, root: float) -> float:
     For the ratio series the claim is "h(l) <= 0 for all p up to the bound"
     (largest such 3-dp value, i.e. the root rounded down); for the increment
     series it is "f(l) >= 0 from the bound up to 1" (smallest such 3-dp
-    value, the root rounded up).  Both directions are re-verified against
-    the series itself, so the result is a certified grid bound rather than a
-    display rounding of threshold_bisect's root.
+    value, the root rounded up).  Either is side * series >= 0 between one
+    end of [0, 1] and the bound, re-verified against the series by one walk,
+    so the result is a certified grid bound, not a display rounding.
     """
-    if series == _RATIO_SERIES:
-        k = math.floor(root * 1000.0)
-        while k > 0 and _series_value(series, ell, k / 1000.0) > 0.0:
-            k -= 1
-        while k + 1 < 1000 and _series_value(series, ell, (k + 1) / 1000.0) <= 0.0:
-            k += 1
-    else:
-        k = math.ceil(root * 1000.0)
-        while k < 1000 and _series_value(series, ell, k / 1000.0) < 0.0:
-            k += 1
-        while k - 1 > 0 and _series_value(series, ell, (k - 1) / 1000.0) >= 0.0:
-            k -= 1
-    return k / 1000.0
+    side = _CLAIM_SIDE[series]
+    end = 500 * (1 + side)  # the claim's end of the grid: p = 0 for h, 1 for f
+
+    def holds(j: int) -> bool:  # the claim j grid steps in from that end
+        return side * _series_value(series, ell, (end - side * j) / 1000.0) >= 0.0
+
+    j = end - math.ceil(side * root * 1000.0)  # the root, rounded toward the end
+    while j > 0 and not holds(j):
+        j -= 1
+    while j + 1 < 1000 and holds(j + 1):
+        j += 1
+    return (end - side * j) / 1000.0
 
 
 @dataclass(frozen=True)
@@ -470,7 +471,7 @@ def one_step_drift(state: CycleState, table: WeightTable) -> DriftReport:
 
 def min_feasible_p(kind: StrategyKind | str, omega: float, n: int, tol: float = 1e-3) -> float:
     """Smallest p (to within tol) with a crossover and all constraints feasible."""
-    check_tol(tol)
+    _check_tol(tol)
     # The search starts at p = 0, so pavlov, the p = 1 strategy, is refused.
     family = _checked_family(kind, 0.0, omega)
 

@@ -130,6 +130,41 @@ def test_thresholds_rejects_lmax_below_1(capsys, lmax):
     assert err.startswith("error:") and "--lmax must be >= 1" in err
 
 
+@pytest.mark.parametrize("series", ["h", "f"])
+@pytest.mark.parametrize("tol", ["0.5", "0.1", "0.05", "0.01"])
+def test_thresholds_bound_column_does_not_depend_on_tol(capsys, series, tol):
+    # A coarse root leaves certified_cutoff a long walk to the same grid bound.
+    def bounds(*options):
+        code, out, _ = run_cli(capsys, "thresholds", "--series", series, "--lmax", "60", "--quiet", *options)
+        assert code == 0
+        return [line.rsplit(",", 1)[1] for line in out.splitlines()]
+
+    assert bounds("--tol", tol) == bounds()
+
+
+@pytest.mark.parametrize(
+    "series, lmax, digest",
+    [
+        ("h", "195", "4ec1f5b87e8b0de6c01359ff52f714f5b3522d118a89380923a61cf61adc0e8f"),
+        ("f", "197", "f1b79d7627214a0f5bfb0a9da611940e69c67b15f5b2ff7d6681e3906f512ac7"),
+    ],
+    ids=["h", "f"],
+)
+def test_thresholds_table_to_the_last_representable_length_is_pinned(capsys, series, lmax, digest):
+    # The longest tables whose weights at p = 1 still fit in a double.
+    code, out, _ = run_cli(capsys, "thresholds", "--series", series, "--lmax", lmax, "--quiet")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("series, lmax", [("h", "196"), ("f", "198")])
+def test_thresholds_past_double_range_exits_1(capsys, series, lmax):
+    # The last row used to read "none,none" with exit 0, though the root exists.
+    code, out, err = run_cli(capsys, "thresholds", "--series", series, "--lmax", lmax, "--quiet")
+    assert (code, out) == (1, "")
+    assert err == f"error: series '{series}' at length {lmax} overflows a double at p = 1\n"
+
+
 # ---------------------------------------------------------------------------
 # weights
 
@@ -541,6 +576,23 @@ def test_sweep_reruns_byte_identical(capsys, tmp_path):
         assert a == b, name
 
 
+SWEEP_DIGESTS = {
+    "records.csv": "de1a8f71c71b86b9165cf53c9bdec7a61b816f80c3b048b814c9086139e32b30",
+    "summary.csv": "2c975671e14f5aafdf04ed869248a369387da8da3c35fe665175932fba2e8f86",
+    "charts.svg": "f0548c937ffd5859b0b0e7b2553cb4d4c1aa73aedcafa427e8ffab408789d8a2",
+    "resolved_config.json": "a77d6e003f5c01407e9326a68b7a3dfdb2d1c27d9c3bd91a407830336732d93b",
+}
+
+
+def test_sweep_outputs_are_pinned(capsys, tmp_path):
+    # Two n values, so the charts hold a legend and more than one colour.
+    cfg = _write_config(tmp_path, n_list=[20, 30])
+    out_dir = tmp_path / "out"
+    assert run_cli(capsys, "sweep", "--config", cfg, "--out-dir", str(out_dir), "--quiet")[0] == 0
+    digests = {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in SWEEP_DIGESTS}
+    assert digests == SWEEP_DIGESTS
+
+
 def test_sweep_integer_key_takes_an_integral_float(capsys, tmp_path):
     d1, d2 = str(tmp_path / "o1"), str(tmp_path / "o2")
     assert run_cli(capsys, "sweep", "--config", _write_config(tmp_path), "--out-dir", d1, "--quiet")[0] == 0
@@ -643,6 +695,9 @@ def test_meanfield_writes_trajectory(capsys, tmp_path):
     lines = Path(out).read_text().splitlines()
     assert lines[0] == "tau,P_0,P_1,P_2,P_3,P_4,sum_tail"
     assert "max_tail_sum=" in text
+    assert hashlib.sha256(Path(out).read_bytes()).hexdigest() == (
+        "1b72e1919f6e8f3bd6a72f4ddf97a4e25dbb82584a1e10652fa5e75426a6055a"
+    )
 
 
 def test_meanfield_rejects_negative_csv_cols(capsys, tmp_path):
@@ -729,6 +784,9 @@ def test_defect_time_output(capsys):
     code, out, _ = run_cli(capsys, "defect-time", "--n", "30", "--reps", "20", "--seed", "1", "--quiet")
     assert code == 0
     assert "expected=435.0" in out  # 30*29/2
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "d240da86489088df6fa28e89e0704f6fe3032be687e95fe69817596814bce35d"
+    )
 
 
 @pytest.mark.parametrize("n", ["2", "0"])
@@ -782,10 +840,8 @@ def test_help_documents_defaults(capsys):
     assert "43000000" in out
 
 
-@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
-def test_closed_stdout_exits_1_quietly(unbuffered):
-    # A closed stdout used to print "error: [Errno 32] Broken pipe", or, with
-    # stdout buffered, "Exception ignored ... BrokenPipeError" and exit 120.
+def run_into_closed_stdout(argv, unbuffered=False):
+    """(exit code, stderr) of the CLI in a child whose stdout pipe has no reader."""
     env = child_env()
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
@@ -794,12 +850,28 @@ def test_closed_stdout_exits_1_quietly(unbuffered):
     os.close(read_end)
     try:
         proc = subprocess.run(
-            [sys.executable, "-m", "pavlov_cycle.cli", "defect-time", "--n", "20", "--reps", "5", "--quiet"],
+            [sys.executable, "-m", "pavlov_cycle.cli", *argv],
             stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
         )
     finally:
         os.close(write_end)
-    assert (proc.returncode, proc.stderr) == (1, b"")
+    return proc.returncode, proc.stderr
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_closed_stdout_exits_1_quietly(unbuffered):
+    # A closed stdout used to print "error: [Errno 32] Broken pipe", or, with
+    # stdout buffered, "Exception ignored ... BrokenPipeError" and exit 120.
+    argv = ["defect-time", "--n", "20", "--reps", "5", "--quiet"]
+    assert run_into_closed_stdout(argv, unbuffered) == (1, b"")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["weights", "--help"], ["--version"]], ids=" ".join)
+def test_help_into_a_closed_stdout_exits_1_quietly(argv):
+    # argparse writes the text into stdout's buffer and exits; the buffer used
+    # to meet the closed pipe only at interpreter exit, which printed
+    # "Exception ignored ... BrokenPipeError" and exited 120.
+    assert run_into_closed_stdout(argv) == (1, b"")
 
 
 def test_trace_and_meanfield_outputs_byte_identical(capsys, tmp_path):

@@ -355,6 +355,49 @@ def test_threshold_bisect_rejects_bad_tol(tol):
         threshold_bisect("h", 5, tol)
 
 
+@pytest.mark.parametrize("series, last", [("h", 195), ("f", 197)])
+def test_series_overflow_shows_first_at_p_1(series, last):
+    # threshold_bisect reads p = 1 first and refuses a NaN there.  That read is
+    # enough: at the last length whose weights fit in a double, no probe of
+    # the bisection's 1/1024 grid or certified_cutoff's 1/1000 grid is NaN.
+    probes = {k / 1024 for k in range(1025)} | {k / 1000 for k in range(1001)}
+    assert not any(math.isnan(weights._series_value(series, last, p)) for p in probes)
+    assert math.isnan(weights._series_value(series, last + 1, 1.0))
+
+
+@pytest.mark.parametrize("series, ell", [("h", 196), ("f", 198), ("h", 400)])
+def test_threshold_bisect_refuses_lengths_past_double_range(series, ell):
+    # These used to raise NoRootError, though both series have the root
+    # 0.869672 there: NaN at p = 1 is not > 0.
+    with pytest.raises(ValueError, match=f"at length {ell} overflows") as info:
+        threshold_bisect(series, ell)
+    assert not isinstance(info.value, NoRootError)
+
+
+@pytest.mark.parametrize("series, ell", [("h", 8), ("f", 7)])
+@pytest.mark.parametrize("offset", [-0.05, 0.05], ids=["low", "high"])
+def test_certified_cutoff_walks_back_from_either_side(series, ell, offset):
+    # A root off by 0.05 makes the walk cross 50 grid points, from below or above.
+    root = threshold_bisect(series, ell)
+    assert certified_cutoff(series, ell, root + offset) == certified_cutoff(series, ell, root)
+
+
+def test_one_threshold_three_routes():
+    # At omega = 0 the h root at l = 60, the p where the crossover first
+    # exists and the smallest feasible p for n = 20 and 100 name one number;
+    # srp has no diagnostic series, so only the last two apply.
+    def onset(kind):
+        return weights._bisect(lambda p: find_crossover(kind, p) is not None, 0.5, 1.0, 1e-15)[1]
+
+    assert threshold_bisect("h", 60, 1e-15) == 0.869672358384975
+    assert onset("rp") == 0.8696723583849755
+    assert onset("srp") == 0.6981007391402239
+    for kind in ("rp", "srp"):
+        for n in (20, 100):
+            assert min_feasible_p(kind, 0.0, n, 1e-15) == onset(kind), (kind, n)
+    assert abs(threshold_bisect("h", 60, 1e-15) - onset("rp")) < 1e-14
+
+
 # ---------------------------------------------------------------------------
 # weight tables and constraints
 
