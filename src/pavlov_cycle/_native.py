@@ -1,12 +1,16 @@
-"""Lazily built C kernel for the mean-field RK4 loop (source: _native.c).
+"""Lazily built C kernels (source: _native.c).
+
+Two kernels, each the fast path of a numpy reference that gives the same
+bits: mf_rk4 runs the mean-field RK4 loop (meanfield.integrate, else
+meanfield._rk4_numpy) and merge_min scans a weight table's merge margins
+(weights._evaluate_constraints, else weights._merge_min_numpy).
 
 load() compiles the source with the system C compiler on first use, caches
 the library in this package's __pycache__ under a name keyed by the sha256
 of the source and flags, and returns it.  It returns None whenever the
-library cannot be built or loaded; meanfield.integrate then runs the same
-steps in _rk4_numpy.  Only load() imports the build tools (hashlib,
-subprocess, numpy.ctypeslib), so a run that never integrates does not pay
-for them.
+library cannot be built or loaded; the callers then run their numpy
+references.  Only load() imports the build tools (hashlib, subprocess,
+numpy.ctypeslib), so a run that calls neither kernel does not pay for them.
 """
 
 from __future__ import annotations
@@ -62,4 +66,7 @@ def load() -> ctypes.CDLL | None:
     doubles = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
     lib.mf_rk4.argtypes = scalars + [doubles] * 3
     lib.mf_rk4.restype = ctypes.c_long
+    # merge_min(w, n)
+    lib.merge_min.argtypes = [doubles, ctypes.c_long]
+    lib.merge_min.restype = ctypes.c_double
     return lib

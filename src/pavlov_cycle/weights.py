@@ -31,8 +31,9 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
+from . import _native
 from .dynamics import CycleState, Strategy, StrategyKind, run_lengths, transition_branches
-from .experiments import atomic_write_text
+from .experiments import atomic_write_text, left_sum
 
 MARGIN_TOL = 1e-9
 
@@ -281,7 +282,7 @@ class WeightTable:
     def _cycle_term(self) -> float:
         """Expected weight change of one (-,-) edge update in the all-defect cycle."""
         w, n = self.weights, self.n
-        return sum(prob * (w[n - 2 + a + b] - w[n]) for a, b, prob in self._splits)
+        return left_sum(prob * (w[n - 2 + a + b] - w[n]) for a, b, prob in self._splits)
 
     @cached_property
     def _constraints(self) -> ConstraintReport:
@@ -290,7 +291,7 @@ class WeightTable:
     def potential(self, states: Sequence[int]) -> float:
         """W(states): the weights of its defector runs, summed in increasing start order."""
         _, minus, _ = run_lengths(states)
-        return sum(map(self.weights.__getitem__, minus))
+        return left_sum(map(self.weights.__getitem__, minus))
 
 
 def build_weight_table(kind: StrategyKind | str, p: float, omega: float, n: int) -> WeightTable:
@@ -382,13 +383,24 @@ def _evaluate_constraints(table: WeightTable) -> ConstraintReport:
     margins = -(2.0 * w[2:] + table._split_rows.sum(axis=0) - (2.0 - table.omega) * w[1:n])
     nrun = -(table._cycle_term + table.omega / n * table.weights[n])
 
-    # min over 1 <= l1 <= l2, l1 + l2 <= n of w[l1] + w[l2] - w[l1 + l2], one
-    # row of l2 at a time: the same IEEE operations as a scalar double loop.
-    merge = math.inf
-    for l1 in range(1, n // 2 + 1):
-        merge = min(merge, float((w[l1] + w[l1 : n - l1 + 1] - w[2 * l1 : n + 1]).min()))
+    # The merge margin in the C kernel where it can be built, else in numpy; same bits.
+    lib = _native.load()
+    merge = _merge_min_numpy(w, n) if lib is None else lib.merge_min(w, n)
 
     return ConstraintReport(run_margins=(*margins.tolist(), nrun), merge_margin=merge)
+
+
+def _merge_min_numpy(w: np.ndarray, n: int) -> float:
+    """min over 1 <= a <= b, a + b <= n of (w[a] + w[b]) - w[a + b], one row of b at a time.
+
+    The reference of _native.c's merge_min: the same IEEE operations as a
+    scalar double loop, and a minimum does not depend on the order it reads
+    its values in.
+    """
+    merge = math.inf
+    for a in range(1, n // 2 + 1):
+        merge = min(merge, float((w[a] + w[a : n - a + 1] - w[2 * a : n + 1]).min()))
+    return merge
 
 
 # ---------------------------------------------------------------------------
@@ -436,11 +448,11 @@ def one_step_drift(state: CycleState, table: WeightTable) -> DriftReport:
     sign, minus, plus = run_lengths(state.states)
     if not minus:
         return DriftReport(0.0, 0.0, 0.0, True)
-    w0 = sum(map(w.__getitem__, minus))
+    w0 = left_sum(map(w.__getitem__, minus))
     if not plus:  # the all-defect cycle
         change = n * table._cycle_term
     else:
-        change = sum(chain.from_iterable(map(table._split_terms.__getitem__, minus)))
+        change = left_sum(chain.from_iterable(map(table._split_terms.__getitem__, minus)))
         # Runs alternate in sign around the cycle from the first boundary, so
         # cooperator run k lies between the defector runs lefts[k] and rights[k].
         if sign == -1:

@@ -228,44 +228,44 @@ def test_weights_feasible_only_within_margin_tolerance(capsys, strategy, p):
     assert code == (0 if fields["feasible"] == "True" else 2)
 
 
-@pytest.mark.parametrize(
-    "argv, summary, csv_sha256",
-    [
-        (
-            ["--strategy", "rp", "--p", "0.884"],
-            "crossover=5 slope=0.40677213614995367 feasible=True worst_margin=-1.7763568394002505e-15",
-            "3fa97df51547a8ab78df11131c070cdbadd8cf263a6de16f385c11b8bd7c2389",
-        ),
-        (
-            ["--strategy", "rp", "--p", "0.95"],
-            "crossover=4 slope=0.46338803402106227 feasible=True worst_margin=-7.105427357601002e-15",
-            "ccafc8f97473c5087bdd6d3a3eab1b281c782a52be4302e53229c8ff7ca04d3f",
-        ),
-        (
-            ["--strategy", "srp", "--p", "0.70"],
-            "crossover=8 slope=0.3440341228232947 feasible=True worst_margin=-7.105427357601002e-15",
-            "25af9d2d866035054249d04705199efe213872ed2c5ce027be06d715f19bdcf0",
-        ),
-        # The singleton margin -0.0 ties the merge margin 0.0: worst() keeps
-        # the first of equal minima, so the order it reads them in shows.
-        (
-            ["--strategy", "srp", "--p", "0.812"],
-            "crossover=4 slope=0.4338459317362187 feasible=True worst_margin=-0.0",
-            "423ed7b2882dee4a2be11ad0b1a44c3bed95b6adf04a5371aaaf5781b594017c",
-        ),
-        (
-            ["--strategy", "pavlov", "--p", "1"],
-            "crossover=4 slope=0.49991875281246867 feasible=True worst_margin=-7.105427357601002e-15",
-            "d2905b831527d6c8878af31115c15fdd8bb53a9451960bead4e1dd6fff02a58d",
-        ),
-        # n = 3: one internal length, whose margin is -0.0
-        (
-            ["--strategy", "rp", "--p", "0.9", "--n", "3"],
-            "crossover=4 slope=0.4289090021780935 feasible=True worst_margin=-0.0",
-            "59b08c7cf1990fefaf92915d980a3cc9e666701a40232c24b9b5e556c730bcfe",
-        ),
-    ],
-)
+WEIGHTS_PINS = [
+    (
+        ["--strategy", "rp", "--p", "0.884"],
+        "crossover=5 slope=0.40677213614995367 feasible=True worst_margin=-1.7763568394002505e-15",
+        "3fa97df51547a8ab78df11131c070cdbadd8cf263a6de16f385c11b8bd7c2389",
+    ),
+    (
+        ["--strategy", "rp", "--p", "0.95"],
+        "crossover=4 slope=0.46338803402106227 feasible=True worst_margin=-7.105427357601002e-15",
+        "ccafc8f97473c5087bdd6d3a3eab1b281c782a52be4302e53229c8ff7ca04d3f",
+    ),
+    (
+        ["--strategy", "srp", "--p", "0.70"],
+        "crossover=8 slope=0.3440341228232947 feasible=True worst_margin=-7.105427357601002e-15",
+        "25af9d2d866035054249d04705199efe213872ed2c5ce027be06d715f19bdcf0",
+    ),
+    # The singleton margin -0.0 ties the merge margin 0.0: worst() keeps
+    # the first of equal minima, so the order it reads them in shows.
+    (
+        ["--strategy", "srp", "--p", "0.812"],
+        "crossover=4 slope=0.4338459317362187 feasible=True worst_margin=-0.0",
+        "423ed7b2882dee4a2be11ad0b1a44c3bed95b6adf04a5371aaaf5781b594017c",
+    ),
+    (
+        ["--strategy", "pavlov", "--p", "1"],
+        "crossover=4 slope=0.49991875281246867 feasible=True worst_margin=-7.105427357601002e-15",
+        "d2905b831527d6c8878af31115c15fdd8bb53a9451960bead4e1dd6fff02a58d",
+    ),
+    # n = 3: one internal length, whose margin is -0.0
+    (
+        ["--strategy", "rp", "--p", "0.9", "--n", "3"],
+        "crossover=4 slope=0.4289090021780935 feasible=True worst_margin=-0.0",
+        "59b08c7cf1990fefaf92915d980a3cc9e666701a40232c24b9b5e556c730bcfe",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, summary, csv_sha256", WEIGHTS_PINS)
 def test_weights_output_is_pinned(capsys, tmp_path, argv, summary, csv_sha256):
     # stdout and the --out bytes are the output contract: same arguments, same bytes
     out_path = tmp_path / "table.csv"
@@ -591,6 +591,15 @@ def test_sweep_outputs_are_pinned(capsys, tmp_path):
     assert run_cli(capsys, "sweep", "--config", cfg, "--out-dir", str(out_dir), "--quiet")[0] == 0
     digests = {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in SWEEP_DIGESTS}
     assert digests == SWEEP_DIGESTS
+
+
+def test_pinned_outputs_hold_under_python312_sums(python312_sums, capsys, tmp_path):
+    # From Python 3.12 the builtin sum() compensates float sums; the pins are
+    # a left-to-right fold, which the weights and sweep outputs must not
+    # leave to sum().
+    for pin in WEIGHTS_PINS:
+        test_weights_output_is_pinned(capsys, tmp_path, *pin)
+    test_sweep_outputs_are_pinned(capsys, tmp_path)
 
 
 def test_sweep_integer_key_takes_an_integral_float(capsys, tmp_path):

@@ -1,10 +1,14 @@
 import concurrent.futures
+import functools
 import math
+import operator
 import re
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pavlov_cycle import experiments
 from pavlov_cycle.charts import render_phase_charts
@@ -35,6 +39,21 @@ SEED_VECTORS = {
     (0, (1, 0, 0)): 15114123258453576503,
     (42, (3, 1, 7)): 9994812248937947343,
 }
+
+
+@given(st.lists(st.floats(allow_nan=False)))
+def test_left_sum_adds_left_to_right(terms):
+    # left_sum is the builtin sum() up to Python 3.11 and the loop from 3.12;
+    # each must be 0 + t0 + t1 + ..., with an int 0 for no terms.
+    want = functools.reduce(operator.add, terms, 0)
+    for fold in (experiments.left_sum, experiments._left_fold):
+        got = fold(terms)
+        assert (type(got), repr(got)) == (type(want), repr(want))
+
+
+def test_left_sum_is_not_compensated():
+    # 1e16 + 1.0 rounds back to 1e16; a compensated sum would give 1.0.
+    assert experiments.left_sum([1e16, 1.0, -1e16]) == 0.0
 
 
 def test_splitmix64_reference_values():
