@@ -11,7 +11,6 @@ import contextlib
 import math
 import os
 import statistics
-import sys
 import tempfile
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, TextIO
@@ -49,20 +48,18 @@ def derive_seed(master_seed: int, *indices: int) -> int:
     return h
 
 
-def _left_fold(terms: Iterable[float]) -> float:
-    """0 + t0 + t1 + ..., one rounding per term, left to right."""
+def left_sum(terms: Iterable[float]) -> float:
+    """0 + t0 + t1 + ..., one rounding per term, left to right.
+
+    The float sums behind the pinned outputs (potentials, the drift oracle,
+    a sweep cell's mean cooperation fraction) are this fold.  The builtin
+    sum() is one only up to Python 3.11: from 3.12 it adds floats with
+    Neumaier compensation, which moves their last bits.
+    """
     total = 0
     for term in terms:
         total += term
     return total
-
-
-# The float sums behind the pinned outputs (potentials, the drift oracle, a
-# sweep cell's mean cooperation fraction) are left folds.  Up to Python 3.11
-# the builtin sum() is one, and the faster (12.4 against 17.0 ms for the
-# 12 000 drift sums of a certify body); from 3.12 it adds floats with
-# Neumaier compensation, which moves their last bits.
-left_sum = sum if sys.version_info < (3, 12) else _left_fold
 
 
 # ---------------------------------------------------------------------------

@@ -20,11 +20,10 @@ def compensated_sum(iterable):
 
 @pytest.fixture
 def python312_sums(monkeypatch):
-    """The sums of Python 3.12 in the modules whose float sums reach pinned outputs.
+    """The builtin sum() of Python 3.12 in the modules whose float sums reach pinned outputs.
 
-    The builtin sum() compensates float sums there, so left_sum is the loop;
-    the pins were made with 3.11's left-to-right sum().
+    The pins were made with 3.11's left-to-right sum(); 3.12's compensates
+    float sums, so a pinned sum left to the builtin would move its last bits.
     """
     for module in (weights, experiments):
         monkeypatch.setattr(module, "sum", compensated_sum, raising=False)
-        monkeypatch.setattr(module, "left_sum", experiments._left_fold, raising=False)

@@ -43,12 +43,10 @@ SEED_VECTORS = {
 
 @given(st.lists(st.floats(allow_nan=False)))
 def test_left_sum_adds_left_to_right(terms):
-    # left_sum is the builtin sum() up to Python 3.11 and the loop from 3.12;
-    # each must be 0 + t0 + t1 + ..., with an int 0 for no terms.
+    # 0 + t0 + t1 + ..., with an int 0 for no terms.
     want = functools.reduce(operator.add, terms, 0)
-    for fold in (experiments.left_sum, experiments._left_fold):
-        got = fold(terms)
-        assert (type(got), repr(got)) == (type(want), repr(want))
+    got = experiments.left_sum(terms)
+    assert (type(got), repr(got)) == (type(want), repr(want))
 
 
 def test_left_sum_is_not_compensated():
