@@ -438,4 +438,4 @@ def entry() -> None:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

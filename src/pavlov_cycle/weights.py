@@ -296,11 +296,7 @@ class WeightTable:
 
 def build_weight_table(kind: StrategyKind | str, p: float, omega: float, n: int) -> WeightTable:
     """Construct the weight table, or raise InfeasibleParameterError."""
-    return _build_table(_checked_family(kind, p, omega), p, omega, n)
-
-
-def _build_table(family: StrategyKind, p: float, omega: float, n: int) -> WeightTable:
-    """build_weight_table for arguments _checked_family has passed."""
+    family = _checked_family(kind, p, omega)
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
     found = _crossover_of(_recurrence(family, p, omega))
@@ -482,31 +478,27 @@ def one_step_drift(state: CycleState, table: WeightTable) -> DriftReport:
 
 
 def min_feasible_p(kind: StrategyKind | str, omega: float, n: int, tol: float = 1e-3) -> float:
-    """Smallest p (to within tol) with a crossover and all constraints feasible."""
+    """Smallest p (to within tol) with a crossover and all constraints feasible.
+
+    Bisects [0, 1] to width tol, as given, and returns the feasible end;
+    raises InfeasibleParameterError unless p = 1 is feasible.
+    """
     _check_tol(tol)
     # The search starts at p = 0, so pavlov, the p = 1 strategy, is refused.
     family = _checked_family(kind, 0.0, omega)
 
     def feasible(p: float) -> bool:
         try:
-            table = _build_table(family, p, omega, n)
+            table = build_weight_table(family, p, omega, n)
         except InfeasibleParameterError:
             return False
         return check_constraints(table).feasible
 
-    # A scan, not a bisection of [0, 1]: probes below the threshold fail cheaply at the crossover.
-    grid = 128
-    hi = None
-    for k in range(grid + 1):
-        q = k / grid
-        if feasible(q):
-            hi = q
-            break
-    if hi is None:
+    if not feasible(1.0):
         raise InfeasibleParameterError(
             f"no feasible p in [0, 1] for {family.value} at omega = {omega}, n = {n}"
         )
-    return _bisect(feasible, max(hi - 1.0 / grid, 0.0), hi, tol)[1]
+    return _bisect(feasible, 0.0, 1.0, tol)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -910,19 +910,60 @@ def test_min_feasible_p_srp():
     assert abs(p0 - 0.699) <= 0.005
 
 
+# float.hex of min_feasible_p at tol 1e-3, 1e-15 and 1e-300, frozen from the
+# 128-point grid scan that preceded its bisection of [0, 1].
+MIN_FEASIBLE_P_PINS = {
+    ("rp", 0.0): ("0x1.bd80000000000p-1", "0x1.bd45b202ff508p-1", "0x1.bd45b202ff505p-1"),
+    ("rp", 1e-4): ("0x1.bd80000000000p-1", "0x1.bd5260009d920p-1", "0x1.bd5260009d91ap-1"),
+    ("rp", 0.05): ("0x1.d580000000000p-1", "0x1.d54250624f540p-1", "0x1.d54250624f539p-1"),
+    ("srp", 0.0): ("0x1.6580000000000p-1", "0x1.656d75c7d7648p-1", "0x1.656d75c7d7642p-1"),
+    ("srp", 1e-4): ("0x1.6600000000000p-1", "0x1.6587ca4e688a0p-1", "0x1.6587ca4e6889dp-1"),
+    ("srp", 0.05): ("0x1.9980000000000p-1", "0x1.990ff60b8e998p-1", "0x1.990ff60b8e991p-1"),
+}
+# The answer does not depend on n; tol 1e-300 is pinned at n = 10 only.
+MIN_FEASIBLE_P_CASES = [
+    (kind, omega, n, tol, want)
+    for (kind, omega), pins in MIN_FEASIBLE_P_PINS.items()
+    for n in (3, 10, 100)
+    for tol, want in zip((1e-3, 1e-15, 1e-300), pins)
+    if tol > 1e-300 or n == 10
+]
+
+
+def _feasible(kind, p, omega, n):
+    try:
+        return check_constraints(build_weight_table(kind, p, omega, n)).feasible
+    except InfeasibleParameterError:
+        return False
+
+
+@pytest.mark.parametrize("kind, omega, n, tol, want", MIN_FEASIBLE_P_CASES)
+def test_min_feasible_p_pins(kind, omega, n, tol, want):
+    assert min_feasible_p(kind, omega, n, tol).hex() == want
+
+
+@pytest.mark.parametrize("kind", ["rp", "srp"])
+@pytest.mark.parametrize("omega, n", [(0.0, 10), (1e-4, 100), (0.05, 10), (0.3, 3)])
+def test_feasibility_flips_at_most_once_in_p(kind, omega, n):
+    # min_feasible_p bisects [0, 1], which finds the threshold only if
+    # feasibility is false below it and true above (at omega = 0.3 it is
+    # false on all of [0, 1]).
+    grid = [_feasible(kind, k / 1000, omega, n) for k in range(1001)]
+    flips = [k for k in range(1, 1001) if grid[k] != grid[k - 1]]
+    assert grid == sorted(grid) and len(flips) == grid[-1], flips
+    if not flips:
+        with pytest.raises(InfeasibleParameterError):
+            min_feasible_p(kind, omega, n)
+    else:
+        k = flips[0]
+        assert (k - 1) / 1000 < min_feasible_p(kind, omega, n) < k / 1000 + 1e-3
+
+
 def test_min_feasible_p_stops_at_adjacent_floats(monkeypatch):
     # tol = 1e-300 lies far below the spacing of floats near p0, so the
     # bisection can only end at adjacent floats.  It used to loop forever;
     # counting table builds turns a relapse into a failure, not a hang.
     build = weights.build_weight_table
-    build_table = weights._build_table
-
-    def feasible(p):
-        try:
-            return check_constraints(build("rp", p, 1e-4, 10)).feasible
-        except InfeasibleParameterError:
-            return False
-
     coarse = min_feasible_p("rp", 1e-4, 10, 1e-3)
     calls = 0
 
@@ -930,13 +971,13 @@ def test_min_feasible_p_stops_at_adjacent_floats(monkeypatch):
         nonlocal calls
         calls += 1
         assert calls < 1000, "bisection does not terminate"
-        return build_table(*args)
+        return build(*args)
 
-    monkeypatch.setattr(weights, "_build_table", counted)
+    monkeypatch.setattr(weights, "build_weight_table", counted)
     p0 = min_feasible_p("rp", 1e-4, 10, 1e-300)
     assert calls > 0, "the counter sees no table builds"
     assert p0 <= coarse <= p0 + 1e-3
-    assert feasible(p0) and not feasible(math.nextafter(p0, 0.0))
+    assert _feasible("rp", p0, 1e-4, 10) and not _feasible("rp", math.nextafter(p0, 0.0), 1e-4, 10)
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0])
