@@ -1,5 +1,5 @@
-/* Two kernels, each the fast path of a numpy reference it gives the same
- * bits as.
+/* Three kernels, each the fast path of a reference it gives the same bits
+ * as.
  *
  * mf_rk4: fixed-step RK4 of the truncated mean-field hierarchy (see
  * meanfield.py).  Mirrors meanfield._rk4_numpy term for term: the right-hand
@@ -15,6 +15,12 @@
  * weights._merge_min_numpy takes one row of b at a time.  Each value is one
  * sum and one difference, and a minimum of the same values is the same in
  * any order, so the two agree bit for bit.
+ *
+ * drift_sums: the two sums of weights.one_step_drift for one state, W and
+ * n times the expected one-step change, which weights._drift_sums_python
+ * forms in Python.  Both read the runs from the first boundary on and add
+ * the same terms in the same order from 0.0, with the same parentheses, so
+ * the two agree bit for bit.
  *
  * Built by _native.py with -O2 -ffp-contract=off and no -ffast-math, so no
  * multiply-add is fused and the IEEE operations are the ones written here.
@@ -154,4 +160,82 @@ double merge_min(const double *w, long n)
     }
     const double lo = m0 < m1 ? m0 : m1, hi = m2 < m3 ? m2 : m3;
     return lo < hi ? lo : hi;
+}
+
+/* Entry j of a scan that starts at the first boundary and runs once round
+ * the cycle: j goes from first to first + n - 1, wrapping past n - 1. */
+static inline signed char at(const signed char *s, long n, long j)
+{
+    return s[j < n ? j : j - n];
+}
+
+/* The end of the run that starts at j: the next position with another
+ * entry, or first + n. */
+static inline long run_end(const signed char *s, long n, long first, long j)
+{
+    long k = j + 1;
+    while (k < first + n && at(s, n, k) == at(s, n, j))
+        k++;
+    return k;
+}
+
+struct drift_sums {
+    double w0, change;
+};
+
+/* drift_sums: the two sums of weights.one_step_drift for one state of n +-1
+ * entries, (w0, change), added as weights._drift_sums_python adds them.  w
+ * holds the table's w(0..n), rows its _split_rows (nrows rows of n - 1
+ * values, row-major) and cycle_term its _cycle_term.  The result is
+ * returned by value, so concurrent callers share nothing. */
+struct drift_sums drift_sums(const signed char *s, long n, const double *w,
+                             const double *rows, long nrows, double cycle_term)
+{
+    struct drift_sums d = {0.0, 0.0};
+    long first = 0; /* the first boundary: s[first] != s[first - 1] */
+    while (first < n && s[first] == s[first ? first - 1 : n - 1])
+        first++;
+    if (first == n) { /* a uniform cycle */
+        if (s[0] == -1) {
+            d.w0 = w[n];
+            d.change = (double)n * cycle_term;
+        }
+        return d;
+    }
+    /* The defector runs in start order: w0 adds their weights, change their
+     * split terms, each run's in row order. */
+    long runs = 0, head = 0, last = 0; /* their count, first and last lengths */
+    for (long j = first; j < first + n;) {
+        const long end = run_end(s, n, first, j);
+        if (at(s, n, j) == -1) {
+            const long len = end - j;
+            d.w0 += w[len];
+            for (long r = 0; r < nrows; r++)
+                d.change += rows[r * (n - 1) + len - 1];
+            if (runs++ == 0)
+                head = len;
+            last = len;
+        }
+        j = end;
+    }
+    /* Then the cooperator runs in start order, each between the defector
+     * runs before and after it: the last one before the first cooperator
+     * run, the first one after the last. */
+    long left = last;
+    for (long j = first; j < first + n;) {
+        const long end = run_end(s, n, first, j);
+        if (at(s, n, j) == -1) {
+            left = end - j;
+        } else {
+            const long right = end < first + n ? run_end(s, n, first, end) - end : head;
+            if (end - j > 1)
+                d.change += w[left + 1] - w[left] + w[right + 1] - w[right];
+            else if (runs > 1) /* a lone cooperator: its two neighbours merge */
+                d.change += 2.0 * (w[left + 1 + right] - w[left] - w[right]);
+            else /* the last cooperator: the whole cycle becomes one run */
+                d.change += 2.0 * (w[n] - w[left]);
+        }
+        j = end;
+    }
+    return d;
 }

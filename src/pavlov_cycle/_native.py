@@ -1,16 +1,18 @@
 """Lazily built C kernels (source: _native.c).
 
-Two kernels, each the fast path of a numpy reference that gives the same
-bits: mf_rk4 runs the mean-field RK4 loop (meanfield.integrate, else
-meanfield._rk4_numpy) and merge_min scans a weight table's merge margins
-(weights._evaluate_constraints, else weights._merge_min_numpy).
+Three kernels, each the fast path of a reference that gives the same bits:
+mf_rk4 runs the mean-field RK4 loop (meanfield.integrate, else
+meanfield._rk4_numpy), merge_min scans a weight table's merge margins
+(weights._evaluate_constraints, else weights._merge_min_numpy) and
+drift_sums prices one state's one-step drift (weights.one_step_drift, else
+weights._drift_sums_python).
 
 load() compiles the source with the system C compiler on first use, caches
 the library in this package's __pycache__ under a name keyed by the sha256
 of the source and flags, and returns it.  It returns None whenever the
-library cannot be built or loaded; the callers then run their numpy
-references.  Only load() imports the build tools (hashlib, subprocess,
-numpy.ctypeslib), so a run that calls neither kernel does not pay for them.
+library cannot be built or loaded; the callers then run their references.
+Only load() imports the build tools (hashlib, subprocess, numpy.ctypeslib),
+so a run that calls no kernel does not pay for them.
 """
 
 from __future__ import annotations
@@ -30,6 +32,12 @@ _SOURCE = os.path.join(_HERE, "_native.c")
 # shared with an older one.  The source picks its AVX2 code at load time
 # instead (target_clones in _native.c), with the same IEEE operations.
 _FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
+
+
+class DriftSums(ctypes.Structure):
+    """drift_sums' result, returned by value: (w0, change)."""
+
+    _fields_ = [("w0", ctypes.c_double), ("change", ctypes.c_double)]
 
 
 @functools.cache
@@ -69,4 +77,9 @@ def load() -> ctypes.CDLL | None:
     # merge_min(w, n)
     lib.merge_min.argtypes = [doubles, ctypes.c_long]
     lib.merge_min.restype = ctypes.c_double
+    # drift_sums(states, n, w, rows, nrows, cycle_term), every buffer by address:
+    # it runs once per state, and an ndpointer check would cost more than the scan
+    address = ctypes.c_void_p
+    lib.drift_sums.argtypes = [address, ctypes.c_long, address, address, ctypes.c_long, ctypes.c_double]
+    lib.drift_sums.restype = DriftSums
     return lib

@@ -136,7 +136,7 @@ class _Stream:
     """One stream of the randomness contract: a refill buffer and a cursor.
 
     Stream 0 refills with edge indices in [0, n), stream 1 with uniforms,
-    ``_BUF`` values per numpy call.  The stream's seed, built directly as the
+    at least ``_BUF`` values per refill.  The stream's seed, built directly as the
     child ``SeedSequence(seed).spawn(2)[stream]``, and its PCG64 generator
     are built at the first refill, so a state that never steps pays for
     neither.  The buffer holds the values from the cursor on; values before
@@ -154,23 +154,27 @@ class _Stream:
         self._buf = _EMPTY
         self._pos = 0
 
-    def _refill(self) -> np.ndarray:
+    def _refill(self, size: int) -> np.ndarray:
+        """The stream's next size values.
+
+        numpy draws the same values however a stream's draws are split into
+        calls (tests/test_dynamics.py pins this), so one call of any size
+        continues the contract.
+        """
         if self._rng is None:
             child = np.random.SeedSequence(self._seed, spawn_key=(self._stream,))
             self._rng = np.random.Generator(np.random.PCG64(child))
         if self._stream == 0:
-            return self._rng.integers(0, self._n, size=_BUF)
-        return self._rng.random(_BUF)
+            return self._rng.integers(0, self._n, size=size)
+        return self._rng.random(size)
 
     def window(self, k: int) -> np.ndarray:
-        """The next k values in contract order, drawing refills as needed but consuming none."""
+        """The next k values in contract order, drawing a refill as needed but consuming none."""
         pos = self._pos
         short = pos + k - len(self._buf)
         if short > 0:
-            parts = [self._refill() for _ in range(-(-short // _BUF))]
-            if pos < len(self._buf):
-                parts.insert(0, self._buf[pos:])
-            self._buf = parts[0] if len(parts) == 1 else np.concatenate(parts)
+            fresh = self._refill(max(short, _BUF))
+            self._buf = np.concatenate((self._buf[pos:], fresh)) if pos < len(self._buf) else fresh
             self._pos = pos = 0
         return self._buf[pos : pos + k]
 

@@ -23,7 +23,9 @@ parallel workers.
 
 from __future__ import annotations
 
+import dataclasses
 import math
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice
@@ -248,6 +250,11 @@ class WeightTable:
         return head + tuple(self.slope * ell for ell in range(len(head), self.n + 1))
 
     @cached_property
+    def _weights_array(self) -> np.ndarray:
+        """weights as a float64 array, for the numpy scans and the C library."""
+        return np.array(self.weights, dtype=np.float64)
+
+    @cached_property
     def _splits(self) -> tuple[tuple[int, int, float], ...]:
         """(a, b, prob) for each (-,-) outcome that is not (-,-) again."""
         return tuple(
@@ -265,13 +272,13 @@ class WeightTable:
         with prefix[k] = w[0] + ... + w[k-1]: the scalar expression's IEEE
         operations, in its order.
         """
-        w = np.array(self.weights)
+        w = self._weights_array
         prefix = np.concatenate(([0.0], np.cumsum(w)))
         lengths = np.arange(1, self.n)
         return np.array([
             prob * (prefix[lengths - 1 + a] + prefix[lengths - 1 + b] - (lengths - 1) * w[lengths])
             for a, b, prob in self._splits
-        ])
+        ], dtype=np.float64)
 
     @cached_property
     def _split_terms(self) -> tuple[tuple[float, ...], ...]:
@@ -285,8 +292,22 @@ class WeightTable:
         return left_sum(prob * (w[n - 2 + a + b] - w[n]) for a, b, prob in self._splits)
 
     @cached_property
+    def _drift_args(self) -> tuple[int, int, int, float]:
+        """_native's drift_sums arguments after (states, n): w, rows, nrows, cycle_term.
+
+        w and rows are the addresses of _weights_array and _split_rows, which
+        live as long as the table; __getstate__ keeps them out of a copy.
+        """
+        w, rows = self._weights_array, self._split_rows
+        return w.ctypes.data, rows.ctypes.data, len(self._splits), self._cycle_term
+
+    @cached_property
     def _constraints(self) -> ConstraintReport:
         return _evaluate_constraints(self)
+
+    def __getstate__(self) -> dict[str, object]:
+        """The fields alone: a copy or an unpickled table computes its own caches."""
+        return {field.name: getattr(self, field.name) for field in dataclasses.fields(self)}
 
     def potential(self, states: Sequence[int]) -> float:
         """W(states): the weights of its defector runs, summed in increasing start order."""
@@ -373,7 +394,7 @@ def check_constraints(table: WeightTable) -> ConstraintReport:
 
 def _evaluate_constraints(table: WeightTable) -> ConstraintReport:
     n = table.n
-    w = np.array(table.weights)
+    w = table._weights_array
     # One run of each length L = 1..n-1: its L - 1 internal edges split it,
     # and its two rim edges grow it to L + 1.
     margins = -(2.0 * w[2:] + table._split_rows.sum(axis=0) - (2.0 - table.omega) * w[1:n])
@@ -430,47 +451,63 @@ def one_step_drift(state: CycleState, table: WeightTable) -> DriftReport:
     * the all-defect cycle loses one or two defectors from its single run;
     * (+,+) edges and (-,-) outcomes change nothing.
 
-    The run lengths come from one boundary scan, dynamics.run_lengths, which
-    potential and the trace snapshot read too; defector runs are summed in
-    increasing start order.
-    Branch probabilities come from dynamics.transition_branches.  The O(n^2)
-    brute force that rescans every successor lives in tests/test_weights.py
-    as the reference this function is checked against.
+    The two sums, W(state) and n times the expected change, come from the C
+    library's drift_sums where it can be built, else from
+    _drift_sums_python, its reference; both add the same terms in the same
+    order, so the report has the same bits either way.  Branch
+    probabilities come from dynamics.transition_branches.  The O(n^2) brute
+    force that rescans every successor lives in tests/test_weights.py as the
+    reference both are checked against.
     """
     if state.n != table.n:
         raise ValueError(f"state has n = {state.n} but table has n = {table.n}")
     n = state.n
-    w = table.weights
-    sign, minus, plus = run_lengths(state.states)
-    if not minus:
-        return DriftReport(0.0, 0.0, 0.0, True)
-    w0 = left_sum(map(w.__getitem__, minus))
-    if not plus:  # the all-defect cycle
-        change = n * table._cycle_term
+    lib = _native.load()
+    if lib is None:
+        w0, change = _drift_sums_python(state.states, table)
     else:
-        change = left_sum(chain.from_iterable(map(table._split_terms.__getitem__, minus)))
-        # Runs alternate in sign around the cycle from the first boundary, so
-        # cooperator run k lies between the defector runs lefts[k] and rights[k].
-        if sign == -1:
-            lefts, rights = minus, minus[1:] + minus[:1]
-        else:
-            lefts, rights = minus[-1:] + minus[:-1], minus
-        m = len(minus)
-        for left, run, right in zip(lefts, plus, rights):
-            if run > 1:
-                change += w[left + 1] - w[left] + w[right + 1] - w[right]
-            elif m > 1:
-                change += 2.0 * (w[left + 1 + right] - w[left] - w[right])
-            else:
-                change += 2.0 * (w[n] - w[left])
+        states = array("b", state.states)  # held until the call returns
+        if len(states) != n:
+            raise ValueError(f"state has {len(states)} entries but n = {n}")
+        sums = lib.drift_sums(states.buffer_info()[0], n, *table._drift_args)
+        w0, change = sums.w0, sums.change
     expected = w0 + change / n
     bound = (1.0 - table.omega / n) * w0
-    return DriftReport(
-        state_potential=w0,
-        expected_next=expected,
-        bound=bound,
-        satisfied=expected <= bound + MARGIN_TOL,
-    )
+    return DriftReport(w0, expected, bound, expected <= bound + MARGIN_TOL)
+
+
+def _drift_sums_python(states: Sequence[int], table: WeightTable) -> tuple[float, float]:
+    """(W(states), n times its expected one-step change): the reference of _native's drift_sums.
+
+    The run lengths come from one boundary scan, dynamics.run_lengths, which
+    potential and the trace snapshot read too.  W adds the defector runs'
+    weights in increasing start order; the change adds their split terms in
+    that order, then each cooperator run's rim terms in start order.
+    """
+    n = table.n
+    w = table.weights
+    sign, minus, plus = run_lengths(states)
+    if not minus:
+        return 0.0, 0.0
+    w0 = left_sum(map(w.__getitem__, minus))
+    if not plus:  # the all-defect cycle
+        return w0, n * table._cycle_term
+    change = left_sum(chain.from_iterable(map(table._split_terms.__getitem__, minus)))
+    # Runs alternate in sign around the cycle from the first boundary, so
+    # cooperator run k lies between the defector runs lefts[k] and rights[k].
+    if sign == -1:
+        lefts, rights = minus, minus[1:] + minus[:1]
+    else:
+        lefts, rights = minus[-1:] + minus[:-1], minus
+    m = len(minus)
+    for left, run, right in zip(lefts, plus, rights):
+        if run > 1:
+            change += w[left + 1] - w[left] + w[right + 1] - w[right]
+        elif m > 1:
+            change += 2.0 * (w[left + 1 + right] - w[left] - w[right])
+        else:
+            change += 2.0 * (w[n] - w[left])
+    return w0, change
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import select
 import subprocess
 import sys
 import tempfile
@@ -1050,14 +1051,77 @@ def _cli_case(draw):
     return argv, config
 
 
+# Runs main() on each JSON argv line of stdin and answers with one JSON line,
+# [exit code, what main wrote to stderr].  An exception that escapes main
+# ends the process with its traceback on the process's own stderr.
+CLI_CHILD = r"""
+import contextlib, io, json, sys
+from pavlov_cycle.cli import main
+
+for line in sys.stdin:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(json.loads(line))
+    print(json.dumps([code, err.getvalue()]), flush=True)
+"""
+
+
+class CliChild:
+    """One child interpreter that runs the argv property's examples, each under a timeout.
+
+    A child that hangs is killed and the next example starts a new one.
+    Its own stderr (a traceback, or a pool worker's) goes to a file.
+    """
+
+    def __init__(self, stderr_path: Path) -> None:
+        self.stderr_path = stderr_path
+        self.proc = None
+
+    def run(self, argv: list[str], timeout: float = 60.0) -> tuple[int, str]:
+        """(exit code, stderr) of main(argv) in the child; fails on a hang or a crash."""
+        if self.proc is None:
+            with open(self.stderr_path, "w") as stderr:
+                self.proc = subprocess.Popen(
+                    [sys.executable, "-c", CLI_CHILD],
+                    stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=stderr,
+                    text=True, env=child_env(),
+                )
+        self.proc.stdin.write(json.dumps(argv) + "\n")
+        self.proc.stdin.flush()
+        ready, _, _ = select.select([self.proc.stdout], [], [], timeout)
+        line = self.proc.stdout.readline() if ready else ""
+        if not line:
+            self.close()
+            pytest.fail(f"no exit code for {argv} within {timeout} s:\n{self.stderr_path.read_text()}")
+        code, err = json.loads(line)
+        return code, err + self.stderr_path.read_text()
+
+    def close(self) -> None:
+        if self.proc is not None:
+            self.proc.kill()
+            self.proc.wait(timeout=60)
+            self.proc.stdin.close()
+            self.proc.stdout.close()
+            self.proc = None
+
+
+@pytest.fixture(scope="module")
+def cli_child(tmp_path_factory):
+    child = CliChild(tmp_path_factory.mktemp("cli-child") / "stderr.txt")
+    yield child
+    child.close()
+
+
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(_cli_case())
-def test_any_argv_ends_in_an_exit_code(case):
+def test_any_argv_ends_in_an_exit_code(cli_child, case):
+    # In a child process with a timeout, so that a hang fails this test
+    # instead of stalling the suite, and a traceback printed anywhere shows.
     argv, config = case
     with tempfile.TemporaryDirectory() as tmp:
         if config is not None:
             Path(tmp, "config.json").write_text(json.dumps(config))  # NaN and Infinity included
         argv = [arg.replace("{tmp}", tmp) for arg in argv]
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            code = main(argv)
+        code, err = cli_child.run(argv)
     assert code in (0, 1, 2), argv
+    assert "Traceback" not in err, (argv, err)

@@ -108,6 +108,27 @@ def test_streams_replay_the_spawned_seed_sequence(seed):
     assert got == _replay_streams(int(seed), n, count)
 
 
+@pytest.mark.parametrize("n", [3, 100, 10**4, 2**31 + 1, 2**32, 2**32 + 5])
+def test_numpy_draws_do_not_depend_on_how_they_split_into_calls(n):
+    # _Stream.window draws a shortfall as one refill of any size, so a
+    # stream's values must not depend on the sizes of the calls that drew
+    # them.  A numpy release that broke this would move trajectories.
+    sizes = (1, 3, 1000, 7, 4096, 3085)
+    whole, split = (np.random.Generator(np.random.PCG64(n)) for _ in range(2))
+    assert sum(sizes) == _BUF
+    assert whole.integers(0, n, _BUF).tolist() == [i for k in sizes for i in split.integers(0, n, k).tolist()]
+    whole, split = (np.random.Generator(np.random.PCG64(n)) for _ in range(2))
+    assert whole.random(_BUF).tolist() == [u for k in sizes for u in split.random(k).tolist()]
+
+
+def test_a_window_past_a_refill_draws_the_shortfall_at_once():
+    n, seed = 37, 5
+    s = new_state(n, AllDefect(), seed)
+    got = _draw(s._edges, 5) + _draw(s._edges, 2 * _BUF + 9)  # 5 left over, then 2 _BUF + 4 short
+    assert len(s._edges._buf) == 2 * _BUF + 9  # the leftover and one refill of the shortfall
+    assert got == _replay_streams(seed, n, 2 * _BUF + 14)[0]
+
+
 def test_drift_oracle_builds_no_seed_sequence(monkeypatch):
     real = np.random.SeedSequence
     built = []

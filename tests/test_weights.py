@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -7,6 +8,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pavlov_cycle import _native, weights
 from pavlov_cycle.dynamics import (
@@ -837,6 +840,91 @@ def test_drift_pins_hold_under_python312_sums(python312_sums):
     test_drift_golden_pins_on_criterion_4_states()
     for pin in EDGE_PINS:
         test_drift_golden_pins_on_edge_cases(pin)
+
+
+def test_drift_pins_hold_on_the_python_path(monkeypatch):
+    # The tests above take the C library's drift_sums where it loads; its
+    # reference, the Python sums, must give the same pinned bits.
+    monkeypatch.setattr(_native, "load", lambda: None)
+    test_drift_golden_pins_on_criterion_4_states()
+    for pin in EDGE_PINS:
+        test_drift_golden_pins_on_edge_cases(pin)
+
+
+def test_drift_takes_the_c_path_when_the_library_loads(monkeypatch):
+    lib = _native.load()
+    if lib is None:
+        pytest.skip("no C compiler found, or the kernel could not be built or loaded")
+    calls = []
+
+    class Counting:
+        def drift_sums(self, *args):
+            calls.append(args)
+            return lib.drift_sums(*args)
+
+    def python_sums(states, table):
+        raise AssertionError("the Python sums ran with the C library loaded")
+
+    table = build_weight_table("rp", 0.9, 1e-4, 10)
+    state = new_state(10, Explicit((-1, -1, 1, -1, 1, 1, -1, -1, -1, 1)), 0)
+    want = one_step_drift(state, table)
+    monkeypatch.setattr(_native, "load", Counting)
+    monkeypatch.setattr(weights, "_drift_sums_python", python_sums)
+    assert one_step_drift(state, table) == want
+    assert len(calls) == 1
+
+
+# (kind, p) with a table at every omega of DRIFT_PATH_OMEGAS, n = 3..64
+DRIFT_PATH_KINDS = [("rp", 0.95), ("rp", 1.0), ("srp", 0.8), ("srp", 0.9), ("pavlov", 1.0)]
+DRIFT_PATH_OMEGAS = [0.0, 1e-4, 0.05]
+
+
+@functools.cache
+def _drift_path_table(kind, p, omega, n):
+    return build_weight_table(kind, p, omega, n)
+
+
+def _cycle_states(n):
+    """+-1 cycles of length n, with the run structures the scan treats specially drawn often."""
+    def lone_cooperators(at):  # a cooperator at each chosen site whose neighbours are not chosen
+        return tuple(1 if i in at and (i - 1) % n not in at and (i + 1) % n not in at else -1 for i in range(n))
+
+    def one_run(run):  # a defector run of the given length and start, wrapping past n - 1
+        length, start = run
+        return tuple(-1 if (i - start) % n < length else 1 for i in range(n))
+
+    return st.one_of(
+        st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n).map(tuple),
+        st.sampled_from([(-1,) * n, (1,) * n]),
+        st.lists(st.integers(0, n - 1), min_size=1, unique=True).map(lone_cooperators),
+        st.tuples(st.integers(1, n - 1), st.integers(0, n - 1)).map(one_run),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(3, 64).flatmap(_cycle_states),
+    st.sampled_from(DRIFT_PATH_KINDS),
+    st.sampled_from(DRIFT_PATH_OMEGAS),
+)
+@example((-1,) * 7, ("rp", 0.95), 0.05)  # the all-defect cycle
+@example((1, -1, -1, -1, -1, -1, -1), ("srp", 0.8), 1e-4)  # the last cooperator: m = 1
+@example((-1, -1, 1, 1, 1, -1, -1), ("pavlov", 1.0), 0.0)  # one run across n - 1 -> 0
+@example((-1, 1, -1, 1, -1, 1), ("rp", 1.0), 1e-4)  # lone cooperators merge runs
+@example((1, 1, 1), ("rp", 0.95), 0.0)  # no defector
+def test_drift_paths_give_the_same_bits(sts, kind_p, omega):
+    # float.hex of each field, from the C path (where it loads) and the Python path
+    table = _drift_path_table(*kind_p, omega, len(sts))
+    state = new_state(len(sts), Explicit(sts), 0)
+    reports = [one_step_drift(state, table)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_native, "load", lambda: None)
+        reports.append(one_step_drift(state, table))
+    native, python = (
+        (rep.state_potential.hex(), rep.expected_next.hex(), rep.bound.hex(), rep.satisfied)
+        for rep in reports
+    )
+    assert native == python, (sts, kind_p, omega)
 
 
 def test_drift_all_plus_degenerate():
