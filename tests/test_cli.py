@@ -1053,7 +1053,11 @@ def _cli_case(draw):
 
 # Runs main() on each JSON argv line of stdin and answers with one JSON line,
 # [exit code, what main wrote to stderr].  An exception that escapes main
-# ends the process with its traceback on the process's own stderr.
+# ends the process with its traceback on the process's own stderr.  The
+# child runs under the suite's warning policy (pyproject.toml's
+# filterwarnings): a DeprecationWarning escapes main as an error, and a file
+# left open prints "Exception ignored ... ResourceWarning" on that stderr.
+CHILD_WARNINGS = ["-W", "error::DeprecationWarning", "-W", "error::ResourceWarning"]
 CLI_CHILD = r"""
 import contextlib, io, json, sys
 from pavlov_cycle.cli import main
@@ -1082,7 +1086,7 @@ class CliChild:
         if self.proc is None:
             with open(self.stderr_path, "w") as stderr:
                 self.proc = subprocess.Popen(
-                    [sys.executable, "-c", CLI_CHILD],
+                    [sys.executable, *CHILD_WARNINGS, "-c", CLI_CHILD],
                     stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=stderr,
                     text=True, env=child_env(),
                 )
@@ -1125,3 +1129,4 @@ def test_any_argv_ends_in_an_exit_code(cli_child, case):
         code, err = cli_child.run(argv)
     assert code in (0, 1, 2), argv
     assert "Traceback" not in err, (argv, err)
+    assert "Exception ignored" not in err, (argv, err)
